@@ -2,7 +2,7 @@
 
 from .factor import (
     Factorization, factorize, irreducibles_up_to, is_irreducible,
-    load_sieve_cache, save_sieve_cache, squarefree_part,
+    squarefree_part,
 )
 from .gf2poly import (
     Poly, PolyParseError, add, degree, divrem, gcd, is_self_inverse, mul,
@@ -14,8 +14,6 @@ from .perfect import (
 )
 # NB: the sigma function itself lives at gf2perfect.sigma.sigma; exporting
 # it here would shadow the submodule of the same name.
-from .sigma import (
-    Parity, SigmaValue, omega, parity, sigma_naive, sigma_prime_power,
-)
+from .sigma import Parity, omega, parity, sigma_prime_power
 
 __version__ = '0.1.0'

@@ -7,13 +7,17 @@ complete polynomials 1 + x + ... + x^h, coefficient-reversal symmetry,
 and the factor structure of sigma on prime powers.  Each verifier scans
 its full parameter range and returns what it found, so the caller can
 compare against the classically claimed solution set; none of them
-proves anything beyond the configured bounds.
+proves anything beyond the configured bounds.  LEMMAS pairs each
+verifier with its default bounds and that classical solution set.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .factor import factorize, irreducibles_up_to, is_irreducible
-from .gf2poly import X1, degree, divrem, is_self_inverse, pow_, translate
+from .gf2poly import (
+    X1, degree, divrem, is_self_inverse, pow_, to_hex, translate,
+)
 from .sigma import sigma_prime_power
 
 
@@ -169,3 +173,48 @@ def verify_minimal_prime_parity(a):
         return True
     dmin = min(degree(q) for q in fac.primes())
     return sum(1 for q in fac.primes() if degree(q) == dmin) % 2 == 0
+
+
+@dataclass(frozen=True)
+class Lemma:
+    """A verifier with its default bounds and classically expected result.
+
+    expected maps the bounds to the classical result, or is None for a
+    verifier that returns violations (classically none).  encode maps a
+    result to JSON; encode_expected, when set, encodes the expected
+    result instead.
+    """
+
+    verify: Callable
+    defaults: dict
+    expected: Callable
+    encode: Callable
+    encode_expected: Callable = None
+
+
+LEMMAS = {
+    '1iv': Lemma(
+        verify_lemma1_iv, {'max_deg': 16},
+        lambda max_deg: [0b111] + ([0b11111] if max_deg >= 4 else []),
+        lambda polys: [to_hex(p) for p in polys]),
+    '4': Lemma(
+        verify_lemma4, {'h_bound': 20, 'k_bound': 10},
+        lambda h_bound, k_bound:
+            [(4, 1, 0b111, 0b1001001)] if h_bound >= 4 else [],
+        lambda rows: [{'h': h, 'k': k, 'p_hex': to_hex(p), 'q_hex': to_hex(q)}
+                      for h, k, p, q in rows],
+        lambda rows: [{'h': h, 'k': k} for h, k, _, _ in rows]),
+    '5': Lemma(
+        verify_lemma5, {'p_deg_bound': 6, 'n_bound': 4}, None,
+        lambda rows: [{'p_hex': to_hex(v['p']), 'n': v['n'],
+                       'root_hex': to_hex(v['root']), 'power': v['power']}
+                      for v in rows]),
+    '6': Lemma(
+        verify_lemma6, {'p_deg_bound': 6, 'n_bound': 4}, None,
+        lambda rows: [{'p_hex': to_hex(v['p']), 'n': v['n'],
+                       'q_hex': to_hex(v['q']), 'm': v['m']} for v in rows]),
+    '8': Lemma(
+        verify_theorem8, {'h_bound': 30},
+        lambda h_bound: [1, 2, 3],
+        list),
+}

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import canaday, perfect
 from .factor import factorize, irreducibles_up_to
@@ -24,97 +23,59 @@ from .sigma import sigma
 
 JOBS_ENV = 'GF2PERFECT_JOBS'
 
-LEMMA_DEFAULTS = {
-    '1iv': {'max_deg': 16},
-    '4': {'h_bound': 20, 'k_bound': 10},
-    '5': {'p_deg_bound': 6, 'n_bound': 4},
-    '6': {'p_deg_bound': 6, 'n_bound': 4},
-    '8': {'h_bound': 30},
-}
 
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """One parsed invocation: subcommand plus everything it needs."""
-
-    subcommand: str
-    arguments: dict
-    fmt: str = 'text'
-    jobs: int = 1
-    seed: int = None
-
-    polys: list = field(default_factory=list)
-
-
-def _emit(payload, config, summary=None):
-    if summary is not None:
-        print(summary)
-    if config.fmt == 'json':
+def _emit(payload, ns):
+    if ns.format == 'json':
         print(json.dumps(payload, sort_keys=True))
 
 
-def _parse_poly_arg(text):
-    p = parse(text)
-    if p == 0:
-        raise PolyParseError('polynomial argument must be nonzero', 0)
-    return p
-
-
-def _cmd_factor(config):
-    p = config.polys[0]
-    fac = factorize(p, seed=config.seed)
-    if config.fmt == 'text':
+def _cmd_factor(ns):
+    fac = factorize(ns.poly, seed=ns.seed)
+    if ns.format == 'text':
         parts = [f'({to_text(q)})' + (f'^{e}' if e > 1 else '')
                  for q, e in fac]
-        print(f'{to_text(p)} = ' + ' '.join(parts))
-    _emit(fac.to_dict(), config)
+        print(f'{to_text(ns.poly)} = ' + ' '.join(parts))
+    _emit(fac.to_dict(), ns)
     return 0
 
 
-def _cmd_sigma(config):
-    p = config.polys[0]
-    sv = sigma(p, seed=config.seed)
-    if config.fmt == 'text':
-        print(to_text(sv.sigma))
-    _emit({'input_hex': to_hex(p), 'input_text': to_text(p),
-           'sigma_hex': to_hex(sv.sigma), 'sigma_text': to_text(sv.sigma)},
-          config)
+def _cmd_sigma(ns):
+    s = sigma(ns.poly, seed=ns.seed)
+    if ns.format == 'text':
+        print(to_text(s))
+    _emit({'input_hex': to_hex(ns.poly), 'input_text': to_text(ns.poly),
+           'sigma_hex': to_hex(s), 'sigma_text': to_text(s)}, ns)
     return 0
 
 
-def _cmd_certify(config):
-    p = config.polys[0]
-    cert = perfect.is_perfect(p, seed=config.seed)
-    if config.fmt == 'text':
+def _cmd_certify(ns):
+    cert = perfect.is_perfect(ns.poly, seed=ns.seed)
+    if ns.format == 'text':
         verdict = 'perfect' if cert.is_perfect else 'not perfect'
-        print(f'{to_text(p)}: {verdict} '
+        print(f'{to_text(ns.poly)}: {verdict} '
               f'(omega={cert.omega}, parity={cert.parity.value})')
-    _emit(cert.to_dict(), config)
+    _emit(cert.to_dict(), ns)
     return 0
 
 
-def _cmd_catalog(config):
+def _cmd_catalog(ns):
     certs = perfect.catalog()
-    if config.fmt == 'text':
+    if ns.format == 'text':
         for c in certs:
             print(f'deg {degree(c.poly):3d}  omega {c.omega}  '
                   f'{to_text(c.poly)}')
     _emit({'count': len(certs), 'certificates': [c.to_dict() for c in certs]},
-          config)
+          ns)
     return 0
 
 
-def _report_summary(report):
+def _emit_report(report, ns):
     found = ','.join(to_hex(a) for a in report.found_polys()) or '-'
     pruned = sum(report.shapes_pruned.values())
-    return (f'# {report.kind} degree_bound={report.degree_bound} '
-            f'examined={report.candidates_examined} pruned={pruned} '
-            f'found={len(report.perfects_found)} polys={found}')
-
-
-def _emit_report(report, config):
-    print(_report_summary(report))
-    if config.fmt == 'json':
+    print(f'# {report.kind} degree_bound={report.degree_bound} '
+          f'examined={report.candidates_examined} pruned={pruned} '
+          f'found={len(report.perfects_found)} polys={found}')
+    if ns.format == 'json':
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
         for c in report.perfects_found:
@@ -123,119 +84,69 @@ def _emit_report(report, config):
     return 0
 
 
-def _cmd_search(config):
-    report = perfect.exhaustive_search(config.arguments['max_deg'])
-    return _emit_report(report, config)
+def _cmd_search(ns):
+    report = perfect.exhaustive_search(ns.max_deg)
+    return _emit_report(report, ns)
 
 
-def _cmd_shape_search(config):
-    report = perfect.shape_search(
-        config.arguments['deg_bound'],
-        config.arguments['p_deg_bound'],
-        use_pruning=not config.arguments['no_prune'],
-        jobs=config.jobs,
-    )
-    return _emit_report(report, config)
+def _cmd_shape_search(ns):
+    report = perfect.shape_search(ns.deg_bound, ns.p_deg_bound,
+                                  use_pruning=not ns.no_prune, jobs=ns.jobs)
+    return _emit_report(report, ns)
 
 
-def _cmd_odd_square_search(config):
-    report = perfect.odd_square_search(config.arguments['max_deg'])
-    return _emit_report(report, config)
+def _cmd_odd_square_search(ns):
+    report = perfect.odd_square_search(ns.max_deg)
+    return _emit_report(report, ns)
 
 
-def _cmd_irreducibles(config):
-    polys = irreducibles_up_to(config.arguments['max_deg'])
+def _cmd_irreducibles(ns):
+    polys = irreducibles_up_to(ns.max_deg)
     counts = {}
     for p in polys:
         counts[degree(p)] = counts.get(degree(p), 0) + 1
-    if config.fmt == 'text':
+    if ns.format == 'text':
         for p in polys:
             print(to_text(p))
-    _emit({'max_deg': config.arguments['max_deg'], 'count': len(polys),
+    _emit({'max_deg': ns.max_deg, 'count': len(polys),
            'counts_by_degree': {str(d): n for d, n in sorted(counts.items())},
-           'polys_hex': [to_hex(p) for p in polys]}, config)
+           'polys_hex': [to_hex(p) for p in polys]}, ns)
     return 0
 
 
-def _verify_lemma_1iv(bounds):
-    result = canaday.verify_lemma1_iv(bounds['max_deg'])
-    expected = [0b111] + ([0b11111] if bounds['max_deg'] >= 4 else [])
-    record = {'result': [to_hex(p) for p in result],
-              'expected': [to_hex(p) for p in expected]}
-    return result == expected, record
-
-
-def _verify_lemma_4(bounds):
-    result = canaday.verify_lemma4(bounds['h_bound'], bounds['k_bound'])
-    expected = [(4, 1)] if bounds['h_bound'] >= 4 else []
-    record = {'result': [{'h': h, 'k': k, 'p_hex': to_hex(p),
-                          'q_hex': to_hex(q)} for h, k, p, q in result],
-              'expected': [{'h': h, 'k': k} for h, k in expected]}
-    return [(h, k) for h, k, _, _ in result] == expected, record
-
-
-def _verify_lemma_5(bounds):
-    violations = canaday.verify_lemma5(bounds['p_deg_bound'],
-                                       bounds['n_bound'])
-    record = {'violations': [
-        {'p_hex': to_hex(v['p']), 'n': v['n'], 'root_hex': to_hex(v['root']),
-         'power': v['power']} for v in violations]}
-    return not violations, record
-
-
-def _verify_lemma_6(bounds):
-    violations = canaday.verify_lemma6(bounds['p_deg_bound'],
-                                       bounds['n_bound'])
-    record = {'violations': [
-        {'p_hex': to_hex(v['p']), 'n': v['n'], 'q_hex': to_hex(v['q']),
-         'm': v['m']} for v in violations]}
-    return not violations, record
-
-
-def _verify_lemma_8(bounds):
-    result = canaday.verify_theorem8(bounds['h_bound'])
-    expected = [1, 2, 3]
-    return result == expected, {'result': result, 'expected': expected}
-
-
-def _cmd_verify_lemma(config):
-    which = config.arguments['lemma']
-    if which == 'parity':
-        p = config.polys[0]
-        cert = perfect.is_perfect(p, seed=config.seed)
-        even = canaday.verify_minimal_prime_parity(p)
+def _cmd_verify_lemma(ns):
+    if ns.lemma == 'parity':
+        if ns.poly is None:
+            print('error: verify-lemma parity requires a polynomial argument',
+                  file=sys.stderr)
+            return 2
+        cert = perfect.is_perfect(ns.poly, seed=ns.seed)
+        even = canaday.verify_minimal_prime_parity(ns.poly)
         ok = cert.is_perfect and even
-        record = {'lemma': 'parity', 'poly_hex': to_hex(p),
+        record = {'lemma': 'parity', 'poly_hex': to_hex(ns.poly),
                   'perfect': cert.is_perfect,
                   'minimal_prime_count_even': even, 'ok': ok}
     else:
-        bounds = {name: config.arguments[name]
-                  for name in LEMMA_DEFAULTS[which]}
-        ok, record = {
-            '1iv': _verify_lemma_1iv,
-            '4': _verify_lemma_4,
-            '5': _verify_lemma_5,
-            '6': _verify_lemma_6,
-            '8': _verify_lemma_8,
-        }[which](bounds)
-        record = {'lemma': which, 'bounds': bounds, 'ok': ok, **record}
-    if config.fmt == 'text':
-        print(f'lemma {which}: ' + ('ok' if ok else 'VIOLATION'))
-    _emit(record, config)
+        lemma = canaday.LEMMAS[ns.lemma]
+        bounds = {name: default if getattr(ns, name) is None
+                  else getattr(ns, name)
+                  for name, default in lemma.defaults.items()}
+        result = lemma.verify(**bounds)
+        record = {'lemma': ns.lemma, 'bounds': bounds}
+        if lemma.expected is None:
+            ok = not result
+            record['violations'] = lemma.encode(result)
+        else:
+            expected = lemma.expected(**bounds)
+            ok = result == expected
+            record['result'] = lemma.encode(result)
+            record['expected'] = (lemma.encode_expected
+                                  or lemma.encode)(expected)
+        record['ok'] = ok
+    if ns.format == 'text':
+        print(f'lemma {ns.lemma}: ' + ('ok' if ok else 'VIOLATION'))
+    _emit(record, ns)
     return 0 if ok else 1
-
-
-_HANDLERS = {
-    'factor': _cmd_factor,
-    'sigma': _cmd_sigma,
-    'certify': _cmd_certify,
-    'catalog': _cmd_catalog,
-    'search': _cmd_search,
-    'shape-search': _cmd_shape_search,
-    'odd-square-search': _cmd_odd_square_search,
-    'irreducibles': _cmd_irreducibles,
-    'verify-lemma': _cmd_verify_lemma,
-}
 
 
 def _add_global_options(p, top_level):
@@ -249,8 +160,10 @@ def _add_global_options(p, top_level):
                    help='output format (default: text)')
     p.add_argument('--seed', type=int, default=default(None),
                    help='seed for the factorization splitting step')
+    # a string default goes through type=int inside parse_args, so a bad
+    # environment value is a usage error rather than a traceback
     p.add_argument('--jobs', type=int,
-                   default=default(int(os.environ.get(JOBS_ENV, '1'))),
+                   default=default(os.environ.get(JOBS_ENV, '1')),
                    help=f'worker pool size (default: ${JOBS_ENV} or 1)')
 
 
@@ -262,56 +175,42 @@ def build_parser():
     _add_global_options(ap, top_level=True)
     sub = ap.add_subparsers(dest='subcommand', required=True)
 
-    def add_parser(name):
+    def add_parser(name, handler):
         p = sub.add_parser(name)
         _add_global_options(p, top_level=False)
+        p.set_defaults(handler=handler)
         return p
 
-    for name in ('factor', 'sigma', 'certify'):
-        p = add_parser(name)
+    for name, handler in (('factor', _cmd_factor), ('sigma', _cmd_sigma),
+                          ('certify', _cmd_certify)):
+        p = add_parser(name, handler)
         p.add_argument('poly', help='polynomial, e.g. "x^2(x+1)" or "0x13"')
 
-    add_parser('catalog')
+    add_parser('catalog', _cmd_catalog)
 
-    p = add_parser('search')
+    p = add_parser('search', _cmd_search)
     p.add_argument('--max-deg', type=int, required=True)
 
-    p = add_parser('shape-search')
+    p = add_parser('shape-search', _cmd_shape_search)
     p.add_argument('--deg-bound', type=int, required=True)
     p.add_argument('--p-deg-bound', type=int, required=True)
     p.add_argument('--no-prune', action='store_true')
 
-    p = add_parser('odd-square-search')
+    p = add_parser('odd-square-search', _cmd_odd_square_search)
     p.add_argument('--max-deg', type=int, required=True)
 
-    p = add_parser('irreducibles')
+    p = add_parser('irreducibles', _cmd_irreducibles)
     p.add_argument('--max-deg', type=int, required=True)
 
-    p = add_parser('verify-lemma')
-    p.add_argument('lemma', choices=('1iv', '4', '5', '6', '8', 'parity'))
+    p = add_parser('verify-lemma', _cmd_verify_lemma)
+    p.add_argument('lemma', choices=(*canaday.LEMMAS, 'parity'))
     p.add_argument('poly', nargs='?',
                    help='perfect polynomial to check (parity only)')
-    p.add_argument('--max-deg', type=int, default=None)
-    p.add_argument('--h-bound', type=int, default=None)
-    p.add_argument('--k-bound', type=int, default=None)
-    p.add_argument('--p-deg-bound', type=int, default=None)
-    p.add_argument('--n-bound', type=int, default=None)
+    bounds = dict.fromkeys(name for lemma in canaday.LEMMAS.values()
+                           for name in lemma.defaults)
+    for name in bounds:
+        p.add_argument('--' + name.replace('_', '-'), type=int)
     return ap
-
-
-def _to_config(ns):
-    args = {k: v for k, v in vars(ns).items()
-            if k not in ('format', 'seed', 'jobs', 'subcommand', 'poly')}
-    if ns.subcommand == 'verify-lemma' and ns.lemma != 'parity':
-        for name, default in LEMMA_DEFAULTS[ns.lemma].items():
-            if args.get(name) is None:
-                args[name] = default
-    polys = []
-    if getattr(ns, 'poly', None) is not None:
-        polys.append(_parse_poly_arg(ns.poly))
-    return CommandConfig(subcommand=ns.subcommand, arguments=args,
-                         fmt=ns.format, jobs=ns.jobs, seed=ns.seed,
-                         polys=polys)
 
 
 def run(argv):
@@ -322,18 +221,12 @@ def run(argv):
     except SystemExit as exc:  # argparse already printed the usage error
         return exc.code
     try:
-        config = _to_config(ns)
-    except PolyParseError as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return 2
-    if ns.subcommand == 'verify-lemma' and ns.lemma == 'parity' \
-            and not config.polys:
-        print('error: verify-lemma parity requires a polynomial argument',
-              file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[ns.subcommand](config)
-    except ValueError as exc:  # out-of-range bounds and zero inputs
+        if getattr(ns, 'poly', None) is not None:
+            ns.poly = parse(ns.poly)
+            if ns.poly == 0:
+                raise PolyParseError('polynomial argument must be nonzero', 0)
+        return ns.handler(ns)
+    except ValueError as exc:  # malformed polynomials, out-of-range bounds
         print(f'error: {exc}', file=sys.stderr)
         return 2
 

@@ -111,19 +111,6 @@ def irreducibles_up_to(d):
     return list(_irreducibles_up_to(d))
 
 
-def save_sieve_cache(path, polys):
-    """Persist a sieve as hex bitmasks, one per line."""
-    with open(path, 'w') as fh:
-        for p in polys:
-            fh.write(format(p, '#x') + '\n')
-
-
-def load_sieve_cache(path):
-    """Read back a sieve written by save_sieve_cache."""
-    with open(path) as fh:
-        return [int(line, 16) for line in fh if line.strip()]
-
-
 def factorize(p, seed=None):
     """Complete factorization of a nonzero polynomial.
 

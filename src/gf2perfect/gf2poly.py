@@ -88,6 +88,7 @@ def divexact(p, d):
     return q
 
 
+# kept apart from divrem: building the quotient slows the gcd/Rabin/DDF path
 def rem(p, d):
     """Remainder of p modulo d."""
     if d == 0:
@@ -122,23 +123,6 @@ def pow_(p, e):
         if e & 1:
             r = mul(r, p)
         p = square(p)
-        e >>= 1
-    return r
-
-
-def mulmod(p, q, d):
-    """p*q reduced modulo d."""
-    return rem(mul(p, q), d)
-
-
-def powmod(p, e, d):
-    """p**e modulo d."""
-    r = 1
-    p = rem(p, d)
-    while e:
-        if e & 1:
-            r = mulmod(r, p, d)
-        p = rem(square(p), d)
         e >>= 1
     return r
 

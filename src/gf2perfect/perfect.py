@@ -13,7 +13,6 @@ Every search certifies its finds and reports them as
 PerfectCertificate values inside a SearchReport.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -29,11 +28,10 @@ from .sigma import (
 
 @dataclass(frozen=True)
 class PerfectCertificate:
-    """Verdict sigma(poly) == poly together with both factorizations."""
+    """Verdict sigma(poly) == poly together with the factorization of poly."""
 
     poly: int
     factorization: Factorization
-    sigma_factorization: Factorization
     is_perfect: bool
     parity: Parity
     omega: int
@@ -124,26 +122,16 @@ class SearchReport:
                                  for c in self.perfects_found]
         return d
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def iter_records(self):
-        """Line-delimited certificate records, one JSON object per find."""
-        for c in self.perfects_found:
-            yield json.dumps(c.to_dict(), sort_keys=True)
-
 
 def is_perfect(a, seed=None):
     """Certify whether sigma(a) = a, for nonzero a."""
     if a == 0:
         raise ValueError('perfection of the zero polynomial is undefined')
     fac = factorize(a, seed=seed)
-    sv = sigma_of_factorization(fac)
     return PerfectCertificate(
         poly=a,
         factorization=fac,
-        sigma_factorization=factorize(sv.sigma, seed=seed),
-        is_perfect=sv.sigma == a,
+        is_perfect=sigma_of_factorization(fac) == a,
         parity=parity(a) if a != 1 else Parity.ODD,
         omega=fac.omega,
     )

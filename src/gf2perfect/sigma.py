@@ -2,9 +2,7 @@
 
 sigma(A) is the xor-sum of all divisors of A.  It is multiplicative, so
 the production path assembles it from the factorization: sigma(P^n) per
-prime power, multiplied out.  A naive walk over the whole divisor
-lattice is kept as a differential oracle (sigma_naive); divisor counts
-explode with exponents, so it never serves as the production path.
+prime power, multiplied out.
 
 Characteristic-2 prime-power identities used throughout:
 
@@ -13,10 +11,9 @@ Characteristic-2 prime-power identities used throughout:
       sigma(P^n) = (P+1)^(2^s - 1) * sigma(P^(u-1))^(2^s)
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .factor import Factorization, factorize, smallest_factor_tables
+from .factor import factorize, smallest_factor_tables
 from .gf2poly import X, X1, gcd, mul, pow_
 
 
@@ -24,19 +21,6 @@ class Parity(Enum):
     """Even means divisible by x or x+1; odd means coprime to x^2+x."""
     EVEN = 'even'
     ODD = 'odd'
-
-
-@dataclass(frozen=True)
-class SigmaValue:
-    """sigma(input) along with the factorizations backing the computation."""
-
-    input: int
-    input_factorization: Factorization
-    sigma: int
-
-    def sigma_factorization(self):
-        """Factorization of the sigma value, computed on demand."""
-        return factorize(self.sigma)
 
 
 def sigma_prime_power(p, n):
@@ -59,8 +43,7 @@ def sigma_prime_power(p, n):
 
 def sigma(a, seed=None):
     """sigma assembled multiplicatively over the factorization of a != 0."""
-    fac = factorize(a, seed=seed)
-    return sigma_of_factorization(fac)
+    return sigma_of_factorization(factorize(a, seed=seed))
 
 
 def sigma_of_factorization(fac):
@@ -68,18 +51,6 @@ def sigma_of_factorization(fac):
     s = 1
     for p, e in fac:
         s = mul(s, sigma_prime_power(p, e))
-    return SigmaValue(fac.value, fac, s)
-
-
-def sigma_naive(a):
-    """Differential oracle: xor of every divisor, walked off the lattice."""
-    divisors = [1]
-    for p, e in factorize(a):
-        powers = [pow_(p, i) for i in range(e + 1)]
-        divisors = [mul(d, q) for d in divisors for q in powers]
-    s = 0
-    for d in divisors:
-        s ^= d
     return s
 
 
@@ -95,10 +66,6 @@ def parity(a):
     if a == 0:
         raise ValueError('parity of the zero polynomial is undefined')
     return Parity.EVEN if gcd(a, mul(X, X1)) != 1 else Parity.ODD
-
-
-def is_even(a):
-    return parity(a) is Parity.EVEN
 
 
 def sigma_table(max_deg):

@@ -1,9 +1,14 @@
-"""Independent reference implementations for cross-checking.
+"""Reference implementations for cross-checking.
 
-Everything here works on coefficient lists (index i = coefficient of
-x^i) with schoolbook algorithms, deliberately sharing no code with the
-bit-packed production path.
+Everything here except sigma_naive works on coefficient lists (index
+i = coefficient of x^i) with schoolbook algorithms, deliberately sharing
+no code with the bit-packed production path.  sigma_naive walks the
+divisor lattice with the production factorize, mul and pow_, so it
+checks sigma's assembly from the factorization, not the factorization.
 """
+
+from gf2perfect.factor import factorize
+from gf2perfect.gf2poly import mul, pow_
 
 
 def to_coeffs(p):
@@ -75,3 +80,15 @@ def irreducibles_bruteforce(max_deg):
             if r.bit_length() - 1 <= max_deg:
                 composite.add(r)
     return [p for p in range(2, 1 << (max_deg + 1)) if p not in composite]
+
+
+def sigma_naive(a):
+    """Differential oracle: xor of every divisor, walked off the lattice."""
+    divisors = [1]
+    for p, e in factorize(a):
+        powers = [pow_(p, i) for i in range(e + 1)]
+        divisors = [mul(d, q) for d in divisors for q in powers]
+    s = 0
+    for d in divisors:
+        s ^= d
+    return s

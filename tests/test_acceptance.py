@@ -13,7 +13,8 @@ from gf2perfect.canaday import (
 from gf2perfect.factor import factorize, irreducibles_up_to, is_irreducible
 from gf2perfect.gf2poly import degree, gcd, mul, pow_, reverse, translate
 from gf2perfect.perfect import C1, C2, C3, C4, C5, odd_square_search
-from gf2perfect.sigma import sigma, sigma_naive, sigma_prime_power
+from gf2perfect.sigma import sigma, sigma_prime_power
+from oracles import sigma_naive
 
 
 def _verdict(num, name, ok):
@@ -26,7 +27,7 @@ def test_criterion_1_catalog_certifies(catalog_certs):
     ok = len(catalog_certs) == 16
     for cert in catalog_certs:
         ok = ok and cert.is_perfect
-        ok = ok and sigma(cert.poly).sigma == cert.poly  # exact bit equality
+        ok = ok and sigma(cert.poly) == cert.poly  # exact bit equality
     degrees = sorted(degree(c.poly) for c in catalog_certs)
     ok = ok and degrees == [2, 5, 5, 6, 11, 11, 11, 11, 14, 15, 15, 16,
                             20, 20, 30, 62]
@@ -79,8 +80,7 @@ def test_criterion_6_property_suites(exhaustive20, shape40):
         b = rng.randrange(2, 1 << 13)
         if gcd(a, b) != 1:
             continue
-        ok = ok and sigma(mul(a, b)).sigma == mul(sigma(a).sigma,
-                                                  sigma(b).sigma)
+        ok = ok and sigma(mul(a, b)) == mul(sigma(a), sigma(b))
         done += 1
 
     # Mersenne-exponent identity

@@ -2,6 +2,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from gf2perfect.cli import run
 from gf2perfect.gf2poly import parse, to_hex, to_text
 
@@ -56,6 +58,29 @@ def test_verify_lemma4_matches_golden_file(capsys):
     code, out, _ = invoke(capsys, '--format', 'json', 'verify-lemma', '4')
     assert code == 0
     assert out == (GOLDEN / 'verify_lemma4.json').read_text()
+
+
+S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
+
+
+@pytest.mark.parametrize('name, argv', [
+    ('verify_lemma1iv.json', ['--format', 'json', 'verify-lemma', '1iv']),
+    ('verify_lemma1iv_max_deg3.json',
+     ['--format', 'json', 'verify-lemma', '1iv', '--max-deg', '3']),
+    ('verify_lemma4_h3_k2.json', ['--format', 'json', 'verify-lemma', '4',
+                                  '--h-bound', '3', '--k-bound', '2']),
+    ('verify_lemma5.json', ['--format', 'json', 'verify-lemma', '5']),
+    ('verify_lemma6.json', ['--format', 'json', 'verify-lemma', '6']),
+    ('verify_lemma8.json', ['--format', 'json', 'verify-lemma', '8']),
+    ('sigma.txt', ['sigma', '0xdeadbeefcafe1']),
+    ('sigma.json', ['--format', 'json', 'sigma', '0xdeadbeefcafe1']),
+    ('certify.txt', ['certify', S1_TEXT]),
+    ('certify.json', ['--format', 'json', 'certify', S1_TEXT]),
+])
+def test_output_matches_golden_file(capsys, name, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, '')
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_verify_lemma_exit_codes(capsys):
@@ -145,6 +170,13 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, 'verify-lemma', 'parity')[0] == 2
     code, _, err = invoke(capsys, 'certify', 'x+%')
     assert code == 2 and 'position 2' in err
+
+
+def test_non_integer_jobs_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv('GF2PERFECT_JOBS', 'abc')
+    code, out, err = invoke(capsys, 'catalog')
+    assert (code, out) == (2, '')
+    assert "argument --jobs: invalid int value: 'abc'" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -4,8 +4,7 @@ import pytest
 
 from gf2perfect.factor import (
     _factor_general, _irreducibles_up_to, factorize, irreducibles_up_to,
-    is_irreducible, load_sieve_cache, save_sieve_cache,
-    smallest_factor_tables, squarefree_part,
+    is_irreducible, smallest_factor_tables, squarefree_part,
 )
 from gf2perfect.gf2poly import (
     degree, derivative, gcd, mul, parse, pow_, square,
@@ -129,13 +128,6 @@ def test_factorize_matches_sympy():
                 v = (v << 1) | int(bit) % 2
             theirs.append((v, e))
         assert factorize(p).factors == tuple(sorted(theirs))
-
-
-def test_sieve_cache_round_trip(tmp_path):
-    polys = irreducibles_up_to(8)
-    path = tmp_path / 'sieve.txt'
-    save_sieve_cache(path, polys)
-    assert load_sieve_cache(path) == polys
 
 
 def test_smallest_factor_tables_consistency():

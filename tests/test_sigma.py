@@ -5,8 +5,9 @@ import pytest
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import degree, gcd, mul, parse, pow_
 from gf2perfect.sigma import (
-    Parity, omega, parity, sigma, sigma_naive, sigma_prime_power, sigma_table,
+    Parity, omega, parity, sigma, sigma_prime_power, sigma_table,
 )
+from oracles import sigma_bruteforce, sigma_naive
 
 C1 = parse('x^2(x+1)(x^2+x+1)^2(x^4+x+1)')
 S1 = parse('x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)')
@@ -38,19 +39,11 @@ def test_sigma_prime_power_matches_horner():
 
 
 def test_sigma_examples():
-    assert sigma(0b110).sigma == 0b110
-    assert sigma(C1).sigma == C1
-    assert sigma(0b1000).sigma == pow_(0b11, 3)            # sigma(x^3)
+    assert sigma(0b110) == 0b110
+    assert sigma(C1) == C1
+    assert sigma(0b1000) == pow_(0b11, 3)  # sigma(x^3)
     with pytest.raises(ValueError):
         sigma(0)
-
-
-def test_sigma_value_carries_factorizations():
-    sv = sigma(C1)
-    assert sv.input == C1
-    assert sv.input_factorization.value == C1
-    assert sv.sigma_factorization().value == sv.sigma
-    assert sv.sigma_factorization().factors == sv.input_factorization.factors
 
 
 def test_omega_examples():
@@ -76,7 +69,7 @@ def test_multiplicativity_on_coprime_pairs():
         b = rng.randrange(2, 1 << 13)
         if gcd(a, b) != 1:
             continue
-        assert sigma(mul(a, b)).sigma == mul(sigma(a).sigma, sigma(b).sigma)
+        assert sigma(mul(a, b)) == mul(sigma(a), sigma(b))
         done += 1
 
 
@@ -115,24 +108,22 @@ def test_splitting_identity_randomized():
 
 def test_sigma_equals_divisor_lattice_walk_up_to_degree_12():
     for a in range(1, 1 << 13):
-        assert sigma(a).sigma == sigma_naive(a)
+        assert sigma(a) == sigma_naive(a)
 
 
 def test_sigma_preserves_degree():
     rng = random.Random(18)
     for _ in range(300):
         a = rng.randrange(2, 1 << 40)
-        assert degree(sigma(a).sigma) == degree(a)
+        assert degree(sigma(a)) == degree(a)
 
 
 def test_sigma_table_matches_sigma():
     table = sigma_table(10)
     for a in range(1, 1 << 11):
-        assert table[a] == sigma(a).sigma
+        assert table[a] == sigma(a)
 
 
 def test_sigma_naive_agrees_with_trial_division_walk():
-    from oracles import sigma_bruteforce
-
     for a in range(1, 1 << 9):
         assert sigma_naive(a) == sigma_bruteforce(a)
