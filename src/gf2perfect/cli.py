@@ -13,15 +13,12 @@ usage errors (bad bounds, malformed polynomials).
 
 import argparse
 import json
-import os
 import sys
 
 from . import canaday, perfect
 from .factor import factorize, irreducibles_up_to
 from .gf2poly import PolyParseError, degree, parse, to_hex, to_text
 from .sigma import sigma
-
-JOBS_ENV = 'GF2PERFECT_JOBS'
 
 
 def _emit(payload, ns):
@@ -91,7 +88,7 @@ def _cmd_search(ns):
 
 def _cmd_shape_search(ns):
     report = perfect.shape_search(ns.deg_bound, ns.p_deg_bound,
-                                  use_pruning=not ns.no_prune, jobs=ns.jobs)
+                                  use_pruning=not ns.no_prune)
     return _emit_report(report, ns)
 
 
@@ -160,11 +157,6 @@ def _add_global_options(p, top_level):
                    help='output format (default: text)')
     p.add_argument('--seed', type=int, default=default(None),
                    help='seed for the factorization splitting step')
-    # a string default goes through type=int inside parse_args, so a bad
-    # environment value is a usage error rather than a traceback
-    p.add_argument('--jobs', type=int,
-                   default=default(os.environ.get(JOBS_ENV, '1')),
-                   help=f'worker pool size (default: ${JOBS_ENV} or 1)')
 
 
 def build_parser():

@@ -5,8 +5,9 @@ A polynomial A is perfect when sigma(A) = A.  Three search strategies:
 - exhaustive_search walks every nonconstant polynomial up to a degree
   bound via the bulk sigma table;
 - shape_search enumerates candidates x^h (x+1)^k P^l Q^m over distinct
-  odd irreducibles P, Q, optionally pruning exponent patterns that the
-  classical structure lemmas exclude;
+  odd irreducibles P, Q, with h and k pinned by the valuations of
+  sigma(A) = A, optionally pruning exponent patterns that the classical
+  structure lemmas exclude;
 - odd_square_search targets odd candidates whose exponents all equal 2.
 
 Every search certifies its finds and reports them as
@@ -239,15 +240,36 @@ def _hk_grid_size(budget):
     return budget * (budget - 1) // 2 if budget >= 2 else 0
 
 
-def _shape_chunk(args):
-    """Enumerate and certify one round-robin slice of the (P, Q) pairs.
+def _prime_power_tables(p, max_exp):
+    """p^l, sigma(p^l) and (v_x, v_{x+1}) of sigma(p^l), for l <= max_exp."""
+    pows, sigs = [1, p], [1, p ^ 1]
+    for _ in range(2, max_exp + 1):
+        pows.append(mul(pows[-1], p))
+        sigs.append(sigs[-1] ^ pows[-1])
+    vals = []
+    for s in sigs:
+        t = translate(s)
+        vals.append(((s & -s).bit_length() - 1, (t & -t).bit_length() - 1))
+    return pows, sigs, vals
 
-    Top-level so a worker pool can run slices in parallel; the merge in
-    shape_search is order-independent, so the outcome does not depend
-    on the pool size.
+
+def _shape_hits(deg_bound, p_deg_bound, use_pruning):
+    """Enumerate the perfect x^h (x+1)^k P^l Q^m for shape_search.
+
+    The valuations of sigma(A) = A pin h to k.  sigma(x^h) is coprime
+    to x and v_{x+1}(sigma(x^h)) = 2^{v_2(h+1)} - 1, and symmetrically
+    under x -> x+1, so with S = sigma(P^l) sigma(Q^m) a perfect A has
+
+        h = v_x(S) + 2^{v_2(k+1)} - 1,  k = v_{x+1}(S) + 2^{v_2(h+1)} - 1.
+
+    So each value of v_2(k+1) yields at most one (h, k) pair, and only
+    pairs meeting both equations get the full sigma(A) = A check.
+    Returns (examined, pruned, hits).
     """
-    deg_bound, p_deg_bound, use_pruning, chunk, chunks = args
     odd_primes = [p for p in irreducibles_up_to(p_deg_bound) if degree(p) >= 2]
+    # P's partner has degree >= 2 and h, k >= 1, so l * deg(P) <= deg_bound - 4
+    tables = [_prime_power_tables(p, (deg_bound - 4) // degree(p))
+              for p in odd_primes]
 
     ones = [(1 << (h + 1)) - 1 for h in range(deg_bound + 1)]  # sigma(x^h)
     sig_x1 = [translate(v) for v in ones]                      # sigma((x+1)^k)
@@ -258,27 +280,16 @@ def _shape_chunk(args):
     examined = 0
     pruned = {'lemma10': 0, 'lemma11': 0}
     hits = []  # (poly, tag, h, k, l, m, P, Q)
-    serial = -1
     for i, p in enumerate(odd_primes):
         dp = degree(p)
-        for q in odd_primes[i + 1:]:
-            serial += 1
-            if serial % chunks != chunk:
-                continue
+        p_pow, p_sig, p_val = tables[i]
+        for j in range(i + 1, len(odd_primes)):
+            q = odd_primes[j]
             dq = degree(q)
             if dp + dq + 2 > deg_bound:
                 continue
-            # incremental powers and sigma values for both primes
-            p_pow, p_sig = [1, p], [1, p ^ 1]
-            for l in range(2, (deg_bound - dq - 2) // dp + 1):
-                p_pow.append(mul(p_pow[-1], p))
-                p_sig.append(p_sig[-1] ^ p_pow[-1])
-            q_pow, q_sig = [1, q], [1, q ^ 1]
-            for m in range(2, (deg_bound - dp - 2) // dq + 1):
-                q_pow.append(mul(q_pow[-1], q))
-                q_sig.append(q_sig[-1] ^ q_pow[-1])
-
-            for l in range(1, len(p_pow)):
+            q_pow, q_sig, q_val = tables[j]
+            for l in range(1, (deg_bound - dq - 2) // dp + 1):
                 for m in range(1, (deg_bound - l * dp - 2) // dq + 1):
                     budget = deg_bound - l * dp - m * dq
                     if use_pruning:
@@ -288,50 +299,44 @@ def _shape_chunk(args):
                             continue
                     else:
                         tag, _ = _classify_pattern(l, m)
-                    spq = mul(p_sig[l], q_sig[m])
-                    apq = mul(p_pow[l], q_pow[m])
-                    for k in range(1, budget):
-                        sk = mul(sig_x1[k], spq)
-                        ak = mul(x1_pow[k], apq)
-                        for h in range(1, budget - k + 1):
-                            examined += 1
-                            if mul(ones[h], sk) == ak << h:
-                                hits.append((ak << h, tag, h, k, l, m, p, q))
+                    vx = p_val[l][0] + q_val[m][0]
+                    vx1 = p_val[l][1] + q_val[m][1]
+                    spq = None
+                    # v_2(k+1) = e fixes h, and h fixes k; 2^{v_2(n)} is
+                    # the lowest set bit n & -n
+                    for e in range(budget.bit_length()):
+                        h = vx + (1 << e) - 1
+                        k = vx1 + ((h + 1) & -(h + 1)) - 1
+                        if h < 1 or k < 1 or h + k > budget or \
+                                (k + 1) & -(k + 1) != 1 << e:
+                            continue
+                        examined += 1
+                        if spq is None:
+                            spq = mul(p_sig[l], q_sig[m])
+                            apq = mul(p_pow[l], q_pow[m])
+                        a = mul(x1_pow[k], apq) << h
+                        if mul(ones[h], mul(sig_x1[k], spq)) == a:
+                            hits.append((a, tag, h, k, l, m, p, q))
     return examined, pruned, hits
 
 
-def shape_search(deg_bound, p_deg_bound, use_pruning=True, jobs=1):
+def shape_search(deg_bound, p_deg_bound, use_pruning=True):
     """Search x^h (x+1)^k P^l Q^m over distinct odd irreducibles P < Q.
 
     All four exponents are at least 1 (an even perfect polynomial with
     four prime factors has both linear primes present) and the total
     degree is capped by deg_bound; P and Q range over irreducibles of
     degree 2..p_deg_bound.  With pruning on, exponent patterns excluded
-    by the structure lemmas are skipped and tallied per rule instead of
-    certified.  jobs > 1 fans the (P, Q) pairs out to a worker pool.
+    by the structure lemmas are skipped and tallied per rule (as the
+    number of (h, k) pairs they cover) instead of certified.
+    candidates_examined counts the (P, Q, l, m, h, k) tuples that pass
+    the valuation pin of _shape_hits and get the full sigma(A) = A
+    check.
     """
     if deg_bound < 1 or p_deg_bound < 1:
         raise ValueError('bounds must be >= 1')
-    if jobs < 1:
-        raise ValueError('jobs must be >= 1')
     t0 = time.perf_counter()
-    work = [(deg_bound, p_deg_bound, use_pruning, c, jobs)
-            for c in range(jobs)]
-    if jobs == 1:
-        parts = [_shape_chunk(work[0])]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_shape_chunk, work)
-
-    examined = sum(part[0] for part in parts)
-    pruned = {'lemma10': 0, 'lemma11': 0}
-    hits = []
-    for _, part_pruned, part_hits in parts:
-        for rule, count in part_pruned.items():
-            pruned[rule] += count
-        hits.extend(part_hits)
+    examined, pruned, hits = _shape_hits(deg_bound, p_deg_bound, use_pruning)
 
     certs = []
     found_shapes = {}

@@ -1,14 +1,17 @@
 """Reference implementations for cross-checking.
 
-Everything here except sigma_naive works on coefficient lists (index
-i = coefficient of x^i) with schoolbook algorithms, deliberately sharing
-no code with the bit-packed production path.  sigma_naive walks the
-divisor lattice with the production factorize, mul and pow_, so it
-checks sigma's assembly from the factorization, not the factorization.
+Everything here except sigma_naive and shape_search_grid works on
+coefficient lists (index i = coefficient of x^i) with schoolbook
+algorithms, deliberately sharing no code with the bit-packed production
+path.  sigma_naive walks the divisor lattice with the production
+factorize, mul and pow_, so it checks sigma's assembly from the
+factorization, not the factorization.  shape_search_grid is the
+unpinned shape enumeration, so it checks the valuation pin.
 """
 
-from gf2perfect.factor import factorize
-from gf2perfect.gf2poly import mul, pow_
+from gf2perfect.factor import factorize, irreducibles_up_to
+from gf2perfect.gf2poly import X1, degree, mul, pow_, translate
+from gf2perfect.perfect import _classify_pattern, _hk_grid_size
 
 
 def to_coeffs(p):
@@ -92,3 +95,61 @@ def sigma_naive(a):
     for d in divisors:
         s ^= d
     return s
+
+
+def shape_search_grid(deg_bound, p_deg_bound, use_pruning):
+    """Differential oracle for perfect._shape_hits: the full (h, k) grid.
+
+    Checks sigma(A) = A for every x^h (x+1)^k P^l Q^m with h, k >= 1 in
+    the degree budget, with no valuation pin.  Returns the same
+    (examined, pruned, hits) triple, so it can stand in for
+    perfect._shape_hits under shape_search; examined counts every grid
+    point.  Uses the production mul, translate and pattern classifier.
+    """
+    odd_primes = [p for p in irreducibles_up_to(p_deg_bound) if degree(p) >= 2]
+
+    ones = [(1 << (h + 1)) - 1 for h in range(deg_bound + 1)]  # sigma(x^h)
+    sig_x1 = [translate(v) for v in ones]                      # sigma((x+1)^k)
+    x1_pow = [1]
+    for _ in range(deg_bound):
+        x1_pow.append(mul(x1_pow[-1], X1))
+
+    examined = 0
+    pruned = {'lemma10': 0, 'lemma11': 0}
+    hits = []  # (poly, tag, h, k, l, m, P, Q)
+    for i, p in enumerate(odd_primes):
+        dp = degree(p)
+        for q in odd_primes[i + 1:]:
+            dq = degree(q)
+            if dp + dq + 2 > deg_bound:
+                continue
+            # incremental powers and sigma values for both primes
+            p_pow, p_sig = [1, p], [1, p ^ 1]
+            for l in range(2, (deg_bound - dq - 2) // dp + 1):
+                p_pow.append(mul(p_pow[-1], p))
+                p_sig.append(p_sig[-1] ^ p_pow[-1])
+            q_pow, q_sig = [1, q], [1, q ^ 1]
+            for m in range(2, (deg_bound - dp - 2) // dq + 1):
+                q_pow.append(mul(q_pow[-1], q))
+                q_sig.append(q_sig[-1] ^ q_pow[-1])
+
+            for l in range(1, len(p_pow)):
+                for m in range(1, (deg_bound - l * dp - 2) // dq + 1):
+                    budget = deg_bound - l * dp - m * dq
+                    if use_pruning:
+                        tag, rule = _classify_pattern(l, m)
+                        if tag is None:
+                            pruned[rule] += _hk_grid_size(budget)
+                            continue
+                    else:
+                        tag, _ = _classify_pattern(l, m)
+                    spq = mul(p_sig[l], q_sig[m])
+                    apq = mul(p_pow[l], q_pow[m])
+                    for k in range(1, budget):
+                        sk = mul(sig_x1[k], spq)
+                        ak = mul(x1_pow[k], apq)
+                        for h in range(1, budget - k + 1):
+                            examined += 1
+                            if mul(ones[h], sk) == ak << h:
+                                hits.append((ak << h, tag, h, k, l, m, p, q))
+    return examined, pruned, hits

@@ -116,24 +116,16 @@ def test_search_summary_line_and_blob(capsys):
         ['0x6', '0x24', '0x36', '0x78']
 
 
-def test_shape_search_jobs_do_not_change_output(capsys):
-    base = invoke(capsys, '--format', 'json', 'shape-search',
-                  '--deg-bound', '16', '--p-deg-bound', '4')
-    two = invoke(capsys, '--format', 'json', '--jobs', '2', 'shape-search',
-                 '--deg-bound', '16', '--p-deg-bound', '4')
-    assert base == two
-
-
 def test_global_flags_accepted_after_subcommand(capsys):
     before = invoke(capsys, '--format', 'json', 'certify', 'x^2+x')
     after = invoke(capsys, 'certify', 'x^2+x', '--format', 'json')
     assert before == after
     trailing = invoke(capsys, 'shape-search', '--deg-bound', '12',
-                      '--p-deg-bound', '4', '--jobs', '2', '--format', 'json')
+                      '--p-deg-bound', '4', '--seed', '1', '--format', 'json')
     assert trailing[0] == 0
     # a flag before the subcommand survives the subparser defaults
     mixed = invoke(capsys, '--format', 'json', 'shape-search',
-                   '--deg-bound', '12', '--p-deg-bound', '4', '--jobs', '2')
+                   '--deg-bound', '12', '--p-deg-bound', '4', '--seed', '1')
     assert mixed[1] == trailing[1]
 
 
@@ -170,13 +162,6 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, 'verify-lemma', 'parity')[0] == 2
     code, _, err = invoke(capsys, 'certify', 'x+%')
     assert code == 2 and 'position 2' in err
-
-
-def test_non_integer_jobs_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv('GF2PERFECT_JOBS', 'abc')
-    code, out, err = invoke(capsys, 'catalog')
-    assert (code, out) == (2, '')
-    assert "argument --jobs: invalid int value: 'abc'" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

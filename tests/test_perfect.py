@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from gf2perfect import perfect
 from gf2perfect.canaday import verify_minimal_prime_parity
-from gf2perfect.gf2poly import degree, parse, pow_, square, translate
+from gf2perfect.gf2poly import X, X1, degree, parse, pow_, square, translate
 from gf2perfect.perfect import (
     C1, C2, C3, C4, C5, S1, T1, T2, Shape, exhaustive_search, is_perfect,
     odd_square_search, shape_search, trivial_perfect,
 )
-from gf2perfect.sigma import Parity, sigma
+from gf2perfect.sigma import Parity, sigma, sigma_prime_power
+from oracles import shape_search_grid
 
 
 def test_named_catalog_entries():
@@ -125,12 +127,35 @@ def test_pruning_is_sound(shape24_pruned, shape24_unpruned):
         assert a.found_polys() == b.found_polys()
 
 
-def test_shape_search_parallel_matches_serial(shape24_pruned):
-    r = shape_search(24, 6, use_pruning=True, jobs=2)
-    assert r.found_polys() == shape24_pruned.found_polys()
-    assert r.candidates_examined == shape24_pruned.candidates_examined
-    assert r.shapes_pruned == shape24_pruned.shapes_pruned
-    assert r.found_shapes == shape24_pruned.found_shapes
+def test_shape_search_beyond_benchmark_bounds():
+    r = shape_search(56, 10)
+    assert r.found_polys() == sorted([C1, C2, C3, C4, C5])
+    assert all(c.is_perfect and c.omega == 4 for c in r.perfects_found)
+
+
+def _trailing_zeros(p):
+    return (p & -p).bit_length() - 1
+
+
+def test_valuation_pin_identities():
+    # v_{x+1}(sigma(x^n)) = v_x(sigma((x+1)^n)) = 2^{v_2(n+1)} - 1
+    for n in range(128):
+        expected = (1 << _trailing_zeros(n + 1)) - 1
+        assert _trailing_zeros(translate(sigma_prime_power(X, n))) == expected
+        assert _trailing_zeros(sigma_prime_power(X1, n)) == expected
+
+
+@pytest.mark.parametrize('bound, pbound', [(24, 6), (16, 4), (12, 4)])
+@pytest.mark.parametrize('use_pruning', [True, False])
+def test_pinned_shape_search_matches_grid(monkeypatch, bound, pbound,
+                                          use_pruning):
+    pinned = shape_search(bound, pbound, use_pruning)
+    monkeypatch.setattr(perfect, '_shape_hits', shape_search_grid)
+    grid = shape_search(bound, pbound, use_pruning)
+    assert pinned.found_polys() == grid.found_polys()
+    assert pinned.found_shapes == grid.found_shapes
+    assert pinned.shapes_pruned == grid.shapes_pruned
+    assert pinned.candidates_examined <= grid.candidates_examined
 
 
 def test_shape_search_bad_bounds():
@@ -138,8 +163,6 @@ def test_shape_search_bad_bounds():
         shape_search(0, 4)
     with pytest.raises(ValueError):
         shape_search(10, 0)
-    with pytest.raises(ValueError):
-        shape_search(10, 4, jobs=0)
 
 
 def test_shape_validation():
