@@ -206,6 +206,10 @@ def to_hex(p):
     return format(p, '#x')
 
 
+# x^e builds an int of e bits, so a huge exponent would exhaust memory
+MAX_PARSE_DEGREE = 4096
+
+
 def parse(text):
     """Parse sum/product polynomial text, or a hex bitmask, into an int.
 
@@ -252,7 +256,13 @@ def _parse_power(s, pos):
             pos += 1
         if pos == start:
             raise PolyParseError('missing exponent after "^"', start)
-        p = pow_(p, int(s[start:pos]))
+        digits = s[start:pos].lstrip('0') or '0'
+        # the digit count bounds the exponent before int() converts it
+        if degree(p) > 0 and (len(digits) > len(str(MAX_PARSE_DEGREE)) or
+                              degree(p) * int(digits) > MAX_PARSE_DEGREE):
+            raise PolyParseError(
+                f'power exceeds degree {MAX_PARSE_DEGREE}', start)
+        p = pow_(p, int(digits))
     return p, pos
 
 

@@ -176,19 +176,30 @@ def catalog():
     return [is_perfect(a) for a in sorted(entries)]
 
 
+# The bulk tables are five uint32 arrays of 2^(max_deg+1) entries; with
+# the sieve's temporaries a degree-24 search peaks at about 1.2 GB, and
+# that doubles per degree.  uint32 entries would also wrap past degree 31.
+MAX_EXHAUSTIVE_DEG = 24
+
+
 def exhaustive_search(max_deg):
     """Certify every nonconstant polynomial of degree <= max_deg.
 
-    Candidates are scanned in ascending bitmask order off the bulk sigma
-    table; sigma(1) = 1 is trivial, so constants are not candidates.
+    The fixed points of the bulk sigma table are found in ascending
+    bitmask order; sigma(1) = 1 is trivial, so constants are not
+    candidates.
     """
+    import numpy as np
+
     if max_deg < 1:
         raise ValueError('max_deg must be >= 1')
+    if max_deg > MAX_EXHAUSTIVE_DEG:
+        raise ValueError(f'max_deg must be <= {MAX_EXHAUSTIVE_DEG}')
     t0 = time.perf_counter()
     table = sigma_table(max_deg)
-    size = 1 << (max_deg + 1)
-    found = [a for a in range(2, size) if table[a] == a]
-    certs = [is_perfect(a) for a in found]
+    size = len(table)
+    found = np.flatnonzero(table == np.arange(size, dtype=table.dtype))
+    certs = [is_perfect(a) for a in found[found >= 2].tolist()]
     return SearchReport(
         kind='exhaustive',
         degree_bound=max_deg,
@@ -361,6 +372,11 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
     )
 
 
+# one factorization per squarefree B of degree <= max_deg/2, so the cost
+# doubles every 2 degrees: about 2 minutes at 40
+MAX_ODD_SQUARE_DEG = 40
+
+
 def odd_square_search(max_deg):
     """Look for odd perfect A = B^2 with B squarefree, deg(A) <= max_deg.
 
@@ -369,6 +385,8 @@ def odd_square_search(max_deg):
     """
     if max_deg % 2 != 0:
         raise ValueError('max_deg must be even (candidates are squares)')
+    if not 2 <= max_deg <= MAX_ODD_SQUARE_DEG:
+        raise ValueError(f'max_deg must be in 2..{MAX_ODD_SQUARE_DEG}')
     t0 = time.perf_counter()
     examined = 0
     certs = []

@@ -69,37 +69,55 @@ def parity(a):
 
 
 def sigma_table(max_deg):
-    """sigma(a) for every nonzero a of degree <= max_deg, as a list.
+    """sigma(a) for every a of degree <= max_deg, as a uint32 array.
 
-    Entry a holds sigma(a); entry 0 is unused.  Built multiplicatively
-    in one pass over ascending a: the quotient b = a // spf(a) is always
-    a smaller int, so sigma(spf-power) and the coprime cofactor are
-    already available.
+    Entry a holds sigma(a); entry 0 is unused.  Built multiplicatively,
+    one vectorised round per degree d over the slice [2^d, 2^(d+1)):
+    the quotient a // spf(a) and the cofactor of a's leading prime power
+    both have lower degree than a, so a round reads only finished
+    slices.  Entries must fit in uint32, so max_deg <= 31.
     """
+    import numpy as np
+
     spf, quot = smallest_factor_tables(max_deg)
-    spf = spf.tolist()
-    quot = quot.tolist()
     size = len(spf)
-    sig = [0] * size
-    spp = [0] * size  # sigma of the leading prime power of a
-    cof = [0] * size  # a with its leading prime power divided out
+    sig = np.zeros(size, dtype=np.uint32)
+    spp = np.zeros(size, dtype=np.uint32)  # sigma of a's leading prime power
+    cof = np.zeros(size, dtype=np.uint32)  # a with that prime power divided out
     sig[1] = 1
-    for a in range(2, size):
-        p = spf[a]
-        b = quot[a]
-        if b == 1:
-            spp[a] = p ^ 1
-            cof[a] = 1
-            sig[a] = p ^ 1
-        elif spf[b] == p:
-            # a = p * b extends the leading prime power of b
-            t = mul(p, spp[b]) ^ 1
-            c = cof[b]
-            spp[a] = t
-            cof[a] = c
-            sig[a] = mul(t, sig[c])
-        else:
-            spp[a] = p ^ 1
-            cof[a] = b
-            sig[a] = mul(p ^ 1, sig[b])
+    for d in range(1, max_deg + 1):
+        lo, hi = 1 << d, 2 << d
+        p = spf[lo:hi]
+        b = quot[lo:hi]
+        # a = p * b extends the leading prime power of b when spf(b) = p
+        # (never for b = 1, since spf[1] = 0); otherwise p^1 stands alone
+        ext = np.flatnonzero(spf[b] == p)
+        s = p ^ 1
+        c = b.copy()
+        be = b[ext]
+        s[ext] = _clmul(p[ext], spp[be]) ^ 1
+        c[ext] = cof[be]
+        spp[lo:hi] = s
+        cof[lo:hi] = c
+        sc = sig[c]
+        # deg(s) + deg(sig[c]) = d, so the smaller has degree <= d/2
+        sig[lo:hi] = _clmul(np.minimum(s, sc), np.maximum(s, sc))
     return sig
+
+
+def _clmul(x, y):
+    """Elementwise carryless product of uint32 arrays, x the smaller.
+
+    One pass per bit of the largest x, so the passes are bounded by the
+    smaller operand's degree: (x & 2^i) * y is y << i when bit i of x
+    is set and 0 otherwise.  Products must fit in 32 bits.
+    """
+    import numpy as np
+
+    r = np.zeros_like(y)
+    t = np.empty_like(y)
+    for i in range(int(x.max(initial=0)).bit_length()):
+        np.bitwise_and(x, 1 << i, out=t)
+        t *= y
+        r ^= t
+    return r

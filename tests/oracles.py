@@ -1,15 +1,19 @@
 """Reference implementations for cross-checking.
 
-Everything here except sigma_naive and shape_search_grid works on
-coefficient lists (index i = coefficient of x^i) with schoolbook
-algorithms, deliberately sharing no code with the bit-packed production
-path.  sigma_naive walks the divisor lattice with the production
-factorize, mul and pow_, so it checks sigma's assembly from the
-factorization, not the factorization.  shape_search_grid is the
-unpinned shape enumeration, so it checks the valuation pin.
+Everything here except sigma_naive, sigma_table_list and
+shape_search_grid works on coefficient lists (index i = coefficient of
+x^i) with schoolbook algorithms, deliberately sharing no code with the
+bit-packed production path.  sigma_naive walks the divisor lattice with
+the production factorize, mul and pow_, so it checks sigma's assembly
+from the factorization, not the factorization.  sigma_table_list is the
+one-entry-at-a-time loop over the production sieve, so it checks the
+vectorised degree-slice rounds.  shape_search_grid is the unpinned
+shape enumeration, so it checks the valuation pin.
 """
 
-from gf2perfect.factor import factorize, irreducibles_up_to
+from gf2perfect.factor import (
+    factorize, irreducibles_up_to, smallest_factor_tables,
+)
 from gf2perfect.gf2poly import X1, degree, mul, pow_, translate
 from gf2perfect.perfect import _classify_pattern, _hk_grid_size
 
@@ -95,6 +99,43 @@ def sigma_naive(a):
     for d in divisors:
         s ^= d
     return s
+
+
+def sigma_table_list(max_deg):
+    """sigma(a) for every nonzero a of degree <= max_deg, as a list.
+
+    Entry a holds sigma(a); entry 0 is unused.  Built multiplicatively
+    in one pass over ascending a: the quotient b = a // spf(a) is always
+    a smaller int, so sigma(spf-power) and the coprime cofactor are
+    already available.
+    """
+    spf, quot = smallest_factor_tables(max_deg)
+    spf = spf.tolist()
+    quot = quot.tolist()
+    size = len(spf)
+    sig = [0] * size
+    spp = [0] * size  # sigma of the leading prime power of a
+    cof = [0] * size  # a with its leading prime power divided out
+    sig[1] = 1
+    for a in range(2, size):
+        p = spf[a]
+        b = quot[a]
+        if b == 1:
+            spp[a] = p ^ 1
+            cof[a] = 1
+            sig[a] = p ^ 1
+        elif spf[b] == p:
+            # a = p * b extends the leading prime power of b
+            t = mul(p, spp[b]) ^ 1
+            c = cof[b]
+            spp[a] = t
+            cof[a] = c
+            sig[a] = mul(t, sig[c])
+        else:
+            spp[a] = p ^ 1
+            cof[a] = b
+            sig[a] = mul(p ^ 1, sig[b])
+    return sig
 
 
 def shape_search_grid(deg_bound, p_deg_bound, use_pruning):

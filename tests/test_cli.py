@@ -164,6 +164,22 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and 'position 2' in err
 
 
+@pytest.mark.parametrize('argv', [
+    ('search', '--max-deg', '25'),
+    ('search', '--max-deg', '64'),
+    ('odd-square-search', '--max-deg', '42'),
+    ('odd-square-search', '--max-deg', '0'),
+    ('odd-square-search', '--max-deg', '-2'),
+    ('certify', 'x^99999999999'),
+])
+def test_oversize_bounds_exit_2(capsys, argv):
+    # every value here is rejected before any allocation
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ''
+    assert err.startswith('error: ')
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(['no-such-command']) == 2
     capsys.readouterr()

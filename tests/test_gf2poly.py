@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gf2perfect.gf2poly import (
     PolyParseError, add, degree, derivative, divrem, gcd, is_self_inverse,
@@ -115,6 +116,9 @@ def test_parse_product_forms():
     ('(x+1', 4),
     ('x^2+', 4),
     ('0x', 2),
+    ('x^99999999999', 2),
+    ('(x^2)^2049', 6),
+    ('x^4096x^4097', 8),
 ])
 def test_parse_errors_report_position(text, pos):
     with pytest.raises(PolyParseError) as exc:
@@ -128,6 +132,12 @@ def test_print_parse_round_trip():
         p = random_poly(rng, 64)
         assert parse(to_text(p)) == p
         assert parse(to_hex(p)) == p
+
+
+@given(st.integers(min_value=1, max_value=(1 << 200) - 1))
+def test_parse_inverts_to_text_and_to_hex(p):
+    assert parse(to_text(p)) == p
+    assert parse(to_hex(p)) == p
 
 
 def test_degree_is_additive():

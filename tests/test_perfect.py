@@ -70,6 +70,8 @@ def test_exhaustive_search_small_bounds():
     assert r.candidates_examined == (1 << 8) - 2
     with pytest.raises(ValueError):
         exhaustive_search(0)
+    with pytest.raises(ValueError):
+        exhaustive_search(25)  # rejected before any allocation
 
 
 def test_exhaustive_search_monotone():
@@ -84,6 +86,13 @@ def test_exhaustive_search_matches_catalog(exhaustive20, catalog_certs):
     assert found == expected
     assert len(found) == 14
     assert all(c.is_perfect for c in exhaustive20.perfects_found)
+
+
+def test_no_perfects_of_degree_21_to_22(exhaustive20):
+    r = exhaustive_search(22)
+    assert r.found_polys() == exhaustive20.found_polys()
+    assert len(r.found_polys()) == 14
+    assert r.candidates_examined == (1 << 23) - 2
 
 
 def test_found_perfects_closed_under_translation(exhaustive20):

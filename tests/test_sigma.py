@@ -7,7 +7,7 @@ from gf2perfect.gf2poly import degree, gcd, mul, parse, pow_
 from gf2perfect.sigma import (
     Parity, omega, parity, sigma, sigma_prime_power, sigma_table,
 )
-from oracles import sigma_bruteforce, sigma_naive
+from oracles import sigma_bruteforce, sigma_naive, sigma_table_list
 
 C1 = parse('x^2(x+1)(x^2+x+1)^2(x^4+x+1)')
 S1 = parse('x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)')
@@ -122,6 +122,14 @@ def test_sigma_table_matches_sigma():
     table = sigma_table(10)
     for a in range(1, 1 << 11):
         assert table[a] == sigma(a)
+
+
+def test_sigma_table_matches_list_oracle():
+    for d in range(1, 17):
+        table = sigma_table(d)
+        assert len(table) == 1 << (d + 1)
+        assert table.dtype == 'uint32'
+        assert table[1:].tolist() == sigma_table_list(d)[1:]
 
 
 def test_sigma_naive_agrees_with_trial_division_walk():
