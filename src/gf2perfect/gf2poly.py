@@ -257,12 +257,16 @@ def _parse_power(s, pos):
         if pos == start:
             raise PolyParseError('missing exponent after "^"', start)
         digits = s[start:pos].lstrip('0') or '0'
-        # the digit count bounds the exponent before int() converts it
-        if degree(p) > 0 and (len(digits) > len(str(MAX_PARSE_DEGREE)) or
-                              degree(p) * int(digits) > MAX_PARSE_DEGREE):
+        # a constant base (0 or 1) needs no int(); otherwise the digit
+        # count bounds the exponent before int() converts it
+        if degree(p) <= 0:
+            p = 1 if digits == '0' else p
+        elif (len(digits) > len(str(MAX_PARSE_DEGREE)) or
+              degree(p) * int(digits) > MAX_PARSE_DEGREE):
             raise PolyParseError(
                 f'power exceeds degree {MAX_PARSE_DEGREE}', start)
-        p = pow_(p, int(digits))
+        else:
+            p = pow_(p, int(digits))
     return p, pos
 
 

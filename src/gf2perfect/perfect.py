@@ -133,7 +133,7 @@ def is_perfect(a, seed=None):
         poly=a,
         factorization=fac,
         is_perfect=sigma_of_factorization(fac) == a,
-        parity=parity(a) if a != 1 else Parity.ODD,
+        parity=parity(a),
         omega=fac.omega,
     )
 
@@ -176,9 +176,10 @@ def catalog():
     return [is_perfect(a) for a in sorted(entries)]
 
 
-# The bulk tables are five uint32 arrays of 2^(max_deg+1) entries; with
-# the sieve's temporaries a degree-24 search peaks at about 1.2 GB, and
-# that doubles per degree.  uint32 entries would also wrap past degree 31.
+# The bulk tables are three uint32 arrays of 2^(max_deg+1) entries (spf,
+# quot, sig); with the last degree round's temporaries a degree-24 search
+# peaks at about 770 MB, and that doubles per degree.  uint32 entries
+# would also wrap past degree 31.
 MAX_EXHAUSTIVE_DEG = 24
 
 
@@ -212,38 +213,36 @@ def exhaustive_search(max_deg):
 
 
 def _classify_pattern(l, m):
-    """Map an exponent pattern to (allowed tag, pruning rule).
+    """The structure lemma that prunes exponent pattern (l, m), or None.
 
     Patterns with one even and one odd exponent must pair 2^n with
     2^n - 1 (else the even-exponent lemma prunes them); two odd
     exponents need at least one of Mersenne form (else the odd-exponent
-    lemma prunes them).  'cde' is resolved to c, d or e once h and k
-    are known.
+    lemma prunes them).
     """
-    l_even, m_even = l % 2 == 0, m % 2 == 0
-    if l_even and m_even:
-        return 'a', None
-    if l_even != m_even:
-        two_pow = l if l_even else m
-        other = m if l_even else l
-        if two_pow & (two_pow - 1) == 0 and other == two_pow - 1:
-            return 'b', None
-        return None, 'lemma11'
-    if (l + 1) & l == 0 or (m + 1) & m == 0:
-        return 'cde', None
-    return None, 'lemma10'
+    if l % 2 != m % 2:
+        two_pow, other = (l, m) if l % 2 == 0 else (m, l)
+        if two_pow & (two_pow - 1) != 0 or other != two_pow - 1:
+            return 'lemma11'
+    elif l % 2 == 1 and (l + 1) & l != 0 and (m + 1) & m != 0:
+        return 'lemma10'
+    return None
 
 
-def _resolve_tag(tag, h, k, l, m):
-    """Final Shape for a certified hit, orienting (l, m) to the tag."""
-    if tag == 'cde':
+def _hit_shape(h, k, l, m):
+    """The Shape of a certified hit, with (l, m) oriented to its tag."""
+    if l % 2 == 0 and m % 2 == 0:
+        tag = 'a'
+    elif l % 2 != m % 2:
+        tag = 'b'
+        if l % 2 == 1:  # put the power of two in the l slot
+            l, m = m, l
+    else:
         tag = 'c' if h % 2 == 0 and k % 2 == 0 else \
               'e' if h % 2 == 1 and k % 2 == 1 else 'd'
         if (m + 1) & m != 0:  # put the Mersenne exponent in the m slot
             l, m = m, l
-    elif tag == 'b' and l % 2 == 1:
-        l, m = m, l
-    return Shape(tag, h, k, l, m), l, m
+    return Shape(tag, h, k, l, m)
 
 
 def _hk_grid_size(budget):
@@ -290,7 +289,7 @@ def _shape_hits(deg_bound, p_deg_bound, use_pruning):
 
     examined = 0
     pruned = {'lemma10': 0, 'lemma11': 0}
-    hits = []  # (poly, tag, h, k, l, m, P, Q)
+    hits = []  # (poly, h, k, l, m, P, Q)
     for i, p in enumerate(odd_primes):
         dp = degree(p)
         p_pow, p_sig, p_val = tables[i]
@@ -304,12 +303,10 @@ def _shape_hits(deg_bound, p_deg_bound, use_pruning):
                 for m in range(1, (deg_bound - l * dp - 2) // dq + 1):
                     budget = deg_bound - l * dp - m * dq
                     if use_pruning:
-                        tag, rule = _classify_pattern(l, m)
-                        if tag is None:
+                        rule = _classify_pattern(l, m)
+                        if rule is not None:
                             pruned[rule] += _hk_grid_size(budget)
                             continue
-                    else:
-                        tag, _ = _classify_pattern(l, m)
                     vx = p_val[l][0] + q_val[m][0]
                     vx1 = p_val[l][1] + q_val[m][1]
                     spq = None
@@ -327,7 +324,7 @@ def _shape_hits(deg_bound, p_deg_bound, use_pruning):
                             apq = mul(p_pow[l], q_pow[m])
                         a = mul(x1_pow[k], apq) << h
                         if mul(ones[h], mul(sig_x1[k], spq)) == a:
-                            hits.append((a, tag, h, k, l, m, p, q))
+                            hits.append((a, h, k, l, m, p, q))
     return examined, pruned, hits
 
 
@@ -351,13 +348,14 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
 
     certs = []
     found_shapes = {}
-    for poly, tag, h, k, l, m, p, q in sorted(hits):
+    for poly, h, k, l, m, p, q in sorted(hits):
         certs.append(is_perfect(poly))
-        shape, l2, m2 = _resolve_tag(tag, h, k, l, m)
+        shape = _hit_shape(h, k, l, m)
+        if shape.l != l:
+            p, q = q, p
         found_shapes[poly] = {
-            'case_tag': shape.case_tag, 'h': h, 'k': k, 'l': l2, 'm': m2,
-            'p_hex': to_hex(p if l2 == l else q),
-            'q_hex': to_hex(q if l2 == l else p),
+            'case_tag': shape.case_tag, 'h': h, 'k': k, 'l': shape.l,
+            'm': shape.m, 'p_hex': to_hex(p), 'q_hex': to_hex(q),
         }
     return SearchReport(
         kind='shape',

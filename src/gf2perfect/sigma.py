@@ -9,6 +9,8 @@ Characteristic-2 prime-power identities used throughout:
 - Mersenne exponents:  1 + P + ... + P^(2^s - 1) = (P+1)^(2^s - 1)
 - splitting, n+1 = 2^s * u with u odd:
       sigma(P^n) = (P+1)^(2^s - 1) * sigma(P^(u-1))^(2^s)
+- three-term recurrence, e >= 1:
+      sigma(P^(e+1)) = (P+1) * sigma(P^e) + P * sigma(P^(e-1))
 """
 
 from enum import Enum
@@ -71,46 +73,40 @@ def parity(a):
 def sigma_table(max_deg):
     """sigma(a) for every a of degree <= max_deg, as a uint32 array.
 
-    Entry a holds sigma(a); entry 0 is unused.  Built multiplicatively,
-    one vectorised round per degree d over the slice [2^d, 2^(d+1)):
-    the quotient a // spf(a) and the cofactor of a's leading prime power
-    both have lower degree than a, so a round reads only finished
-    slices.  Entries must fit in uint32, so max_deg <= 31.
+    Entry a holds sigma(a); entry 0 is unused.  With p = spf(a) and
+    b = a // p, sigma(a) = (p+1) sigma(b), plus p sigma(b // p) when p
+    also divides b: the three-term recurrence times the sigma of the
+    cofactor coprime to p.  One vectorised round per degree d fills the
+    slice [2^d, 2^(d+1)); b and b // p have lower degree than a, so a
+    round reads only finished slices.  Entries must fit in uint32, so
+    max_deg <= 31.
     """
     import numpy as np
 
     spf, quot = smallest_factor_tables(max_deg)
-    size = len(spf)
-    sig = np.zeros(size, dtype=np.uint32)
-    spp = np.zeros(size, dtype=np.uint32)  # sigma of a's leading prime power
-    cof = np.zeros(size, dtype=np.uint32)  # a with that prime power divided out
+    sig = np.zeros(len(spf), dtype=np.uint32)
     sig[1] = 1
     for d in range(1, max_deg + 1):
         lo, hi = 1 << d, 2 << d
         p = spf[lo:hi]
         b = quot[lo:hi]
-        # a = p * b extends the leading prime power of b when spf(b) = p
-        # (never for b = 1, since spf[1] = 0); otherwise p^1 stands alone
-        ext = np.flatnonzero(spf[b] == p)
         s = p ^ 1
-        c = b.copy()
-        be = b[ext]
-        s[ext] = _clmul(p[ext], spp[be]) ^ 1
-        c[ext] = cof[be]
-        spp[lo:hi] = s
-        cof[lo:hi] = c
-        sc = sig[c]
-        # deg(s) + deg(sig[c]) = d, so the smaller has degree <= d/2
-        sig[lo:hi] = _clmul(np.minimum(s, sc), np.maximum(s, sc))
+        sb = sig[b]
+        # deg(s) + deg(sig[b]) = d, so the smaller has degree <= d/2
+        sig[lo:hi] = _clmul(np.minimum(s, sb), np.maximum(s, sb))
+        # where p also divides b (never for b = 1, since spf[1] = 0);
+        # then p^2 divides a, so deg(p) <= d/2
+        ext = np.flatnonzero(spf[b] == p)
+        sig[lo + ext] ^= _clmul(p[ext], sig[quot[b[ext]]])
     return sig
 
 
 def _clmul(x, y):
-    """Elementwise carryless product of uint32 arrays, x the smaller.
+    """Elementwise carryless product of uint32 arrays, looping over x.
 
-    One pass per bit of the largest x, so the passes are bounded by the
-    smaller operand's degree: (x & 2^i) * y is y << i when bit i of x
-    is set and 0 otherwise.  Products must fit in 32 bits.
+    One pass per bit of the largest x, so callers pass as x an operand
+    of degree at most d/2: (x & 2^i) * y is y << i when bit i of x is
+    set and 0 otherwise.  Products must fit in 32 bits.
     """
     import numpy as np
 

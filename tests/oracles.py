@@ -6,9 +6,11 @@ x^i) with schoolbook algorithms, deliberately sharing no code with the
 bit-packed production path.  sigma_naive walks the divisor lattice with
 the production factorize, mul and pow_, so it checks sigma's assembly
 from the factorization, not the factorization.  sigma_table_list is the
-one-entry-at-a-time loop over the production sieve, so it checks the
-vectorised degree-slice rounds.  shape_search_grid is the unpinned
-shape enumeration, so it checks the valuation pin.
+one-entry-at-a-time loop over the production sieve that multiplies the
+leading prime power's sigma by its cofactor's, so it checks both the
+vectorised degree-slice rounds and the three-term recurrence they use.
+shape_search_grid is the unpinned shape enumeration, so it checks the
+valuation pin.
 """
 
 from gf2perfect.factor import (
@@ -157,7 +159,7 @@ def shape_search_grid(deg_bound, p_deg_bound, use_pruning):
 
     examined = 0
     pruned = {'lemma10': 0, 'lemma11': 0}
-    hits = []  # (poly, tag, h, k, l, m, P, Q)
+    hits = []  # (poly, h, k, l, m, P, Q)
     for i, p in enumerate(odd_primes):
         dp = degree(p)
         for q in odd_primes[i + 1:]:
@@ -178,12 +180,10 @@ def shape_search_grid(deg_bound, p_deg_bound, use_pruning):
                 for m in range(1, (deg_bound - l * dp - 2) // dq + 1):
                     budget = deg_bound - l * dp - m * dq
                     if use_pruning:
-                        tag, rule = _classify_pattern(l, m)
-                        if tag is None:
+                        rule = _classify_pattern(l, m)
+                        if rule is not None:
                             pruned[rule] += _hk_grid_size(budget)
                             continue
-                    else:
-                        tag, _ = _classify_pattern(l, m)
                     spq = mul(p_sig[l], q_sig[m])
                     apq = mul(p_pow[l], q_pow[m])
                     for k in range(1, budget):
@@ -192,5 +192,5 @@ def shape_search_grid(deg_bound, p_deg_bound, use_pruning):
                         for h in range(1, budget - k + 1):
                             examined += 1
                             if mul(ones[h], sk) == ak << h:
-                                hits.append((ak << h, tag, h, k, l, m, p, q))
+                                hits.append((ak << h, h, k, l, m, p, q))
     return examined, pruned, hits

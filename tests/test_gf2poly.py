@@ -107,6 +107,10 @@ def test_parse_product_forms():
         mul(mul(pow_(X, 6), pow_(X1, 3)), mul(0b1101, 0b1011))
     assert parse('(x+1)^2') == 0b101
     assert parse('0x7^2') == square(0b111)
+    # a constant base takes any exponent without converting it
+    assert parse('1^' + '9' * 5000 + 'x') == X
+    assert parse('0^' + '9' * 5000 + '+x') == X
+    assert parse('0^000') == 1
 
 
 @pytest.mark.parametrize('text,pos', [
@@ -124,6 +128,20 @@ def test_parse_errors_report_position(text, pos):
     with pytest.raises(PolyParseError) as exc:
         parse(text)
     assert exc.value.pos == pos
+
+
+# short texts over the grammar's own symbols, hex literals and a space
+PARSE_TOKENS = list('x01()^+* 23456789abcdefABCDEF') + ['0x']
+
+
+@given(st.lists(st.sampled_from(PARSE_TOKENS), max_size=16).map(''.join))
+def test_parse_returns_int_or_reports_position(text):
+    try:
+        p = parse(text)
+    except PolyParseError as exc:
+        assert 0 <= exc.pos <= len(''.join(text.split()))
+    else:
+        assert isinstance(p, int)
 
 
 def test_print_parse_round_trip():

@@ -93,6 +93,15 @@ def test_splitting_identity_exhaustive_grid():
                 assert sigma_prime_power(p, n) == expected
 
 
+def test_three_term_recurrence_exhaustive_grid():
+    # the recurrence sigma_table builds each prime-power step from
+    for p in irreducibles_up_to(6):
+        for e in range(1, 13):
+            assert sigma_prime_power(p, e + 1) == \
+                mul(p ^ 1, sigma_prime_power(p, e)) ^ \
+                mul(p, sigma_prime_power(p, e - 1))
+
+
 def test_splitting_identity_randomized():
     rng = random.Random(17)
     primes = irreducibles_up_to(8)
