@@ -51,32 +51,20 @@ def mul(p, q):
 
 def square(p):
     """p**2 via the Frobenius map: spread the bits apart."""
-    r = 0
-    i = 0
-    while p:
-        if p & 1:
-            r |= 1 << (2 * i)
-        p >>= 1
-        i += 1
-    return r
+    return int('0'.join(format(p, 'b')), 2)
 
 
 def divrem(p, d):
     """Quotient and remainder of p by d, with degree(r) < degree(d)."""
     if d == 0:
         raise ZeroDivisionError('division by zero polynomial')
-    m = degree(p)
-    n = degree(d)
-    if m < n:
-        return 0, p
+    n = d.bit_length()
     q = 0
-    d <<= m - n
-    for i in range(m - n + 1):
-        q <<= 1
-        if (p >> (m - i)) & 1:
-            p ^= d
-            q ^= 1
-        d >>= 1
+    s = p.bit_length() - n
+    while s >= 0:  # each pass clears the leading term of p
+        p ^= d << s
+        q |= 1 << s
+        s = p.bit_length() - n
     return q, p
 
 
@@ -88,20 +76,17 @@ def divexact(p, d):
     return q
 
 
-# kept apart from divrem: building the quotient slows the gcd/Rabin/DDF path
+# divrem without the quotient, which Rabin's test and the distinct-degree
+# loop never need: they reduce one square per degree
 def rem(p, d):
     """Remainder of p modulo d."""
     if d == 0:
         raise ZeroDivisionError('division by zero polynomial')
-    m = degree(p)
-    n = degree(d)
-    if m < n:
-        return p
-    d <<= m - n
-    for i in range(m - n + 1):
-        if (p >> (m - i)) & 1:
-            p ^= d
-        d >>= 1
+    n = d.bit_length()
+    s = p.bit_length() - n
+    while s >= 0:
+        p ^= d << s
+        s = p.bit_length() - n
     return p
 
 
@@ -109,8 +94,14 @@ def gcd(p, q):
     """Greatest common divisor; monic like every nonzero GF(2) poly."""
     if p == 0 and q == 0:
         raise ValueError('gcd(0, 0) is undefined')
+    # Euclid with rem inlined: the per-step call dominates at these degrees
     while q:
-        p, q = q, rem(p, q)
+        n = q.bit_length()
+        s = p.bit_length() - n
+        while s >= 0:
+            p ^= q << s
+            s = p.bit_length() - n
+        p, q = q, p
     return p
 
 
@@ -172,14 +163,9 @@ def is_square(p):
 
 def sqrt(p):
     """Square root of a perfect square: compact the even-index bits."""
-    r = 0
-    i = 0
-    while p:
-        if p & 1:
-            r |= 1 << i
-        p >>= 2
-        i += 1
-    return r
+    s = format(p, 'b')
+    # bit 0 is the last character, so even bits share its index parity
+    return int(s[(len(s) - 1) % 2::2], 2)
 
 
 class PolyParseError(ValueError):
@@ -208,6 +194,8 @@ def to_hex(p):
 
 # x^e builds an int of e bits, so a huge exponent would exhaust memory
 MAX_PARSE_DEGREE = 4096
+# the parser recurses four frames per '(', well inside Python's stack limit
+MAX_PARSE_NESTING = 100
 
 
 def parse(text):
@@ -215,44 +203,46 @@ def parse(text):
 
     Grammar: sums of products; a product is factors joined by '*' or by
     adjacency; a factor is '0', '1', 'x', a parenthesized sum, or a hex
-    literal, optionally raised with '^' to a decimal exponent.
+    literal, optionally raised with '^' to a decimal exponent of ASCII
+    digits.  Parentheses nest at most MAX_PARSE_NESTING deep.
     """
     s = ''.join(text.split())
     if not s:
         raise PolyParseError('empty polynomial', 0)
-    p, pos = _parse_sum(s, 0)
+    p, pos = _parse_sum(s, 0, 0)
     if pos != len(s):
         raise PolyParseError(f'unexpected {s[pos]!r}', pos)
     return p
 
 
-def _parse_sum(s, pos):
-    p, pos = _parse_product(s, pos)
+def _parse_sum(s, pos, depth):
+    p, pos = _parse_product(s, pos, depth)
     while pos < len(s) and s[pos] == '+':
-        q, pos = _parse_product(s, pos + 1)
+        q, pos = _parse_product(s, pos + 1, depth)
         p ^= q
     return p, pos
 
 
-def _parse_product(s, pos):
-    p, pos = _parse_power(s, pos)
+def _parse_product(s, pos, depth):
+    p, pos = _parse_power(s, pos, depth)
     while pos < len(s):
         if s[pos] == '*':
-            q, pos = _parse_power(s, pos + 1)
+            q, pos = _parse_power(s, pos + 1, depth)
         elif s[pos] in '(x01':  # adjacency multiplies
-            q, pos = _parse_power(s, pos)
+            q, pos = _parse_power(s, pos, depth)
         else:
             break
         p = mul(p, q)
     return p, pos
 
 
-def _parse_power(s, pos):
-    p, pos = _parse_atom(s, pos)
+def _parse_power(s, pos, depth):
+    p, pos = _parse_atom(s, pos, depth)
     if pos < len(s) and s[pos] == '^':
         pos += 1
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        # ASCII only: str.isdigit() also accepts '²' and Arabic-Indic digits
+        while pos < len(s) and s[pos] in '0123456789':
             pos += 1
         if pos == start:
             raise PolyParseError('missing exponent after "^"', start)
@@ -270,12 +260,15 @@ def _parse_power(s, pos):
     return p, pos
 
 
-def _parse_atom(s, pos):
+def _parse_atom(s, pos, depth):
     if pos >= len(s):
         raise PolyParseError('unexpected end of input', pos)
     c = s[pos]
     if c == '(':
-        p, pos = _parse_sum(s, pos + 1)
+        if depth == MAX_PARSE_NESTING:
+            raise PolyParseError(
+                f'parentheses nested deeper than {MAX_PARSE_NESTING}', pos)
+        p, pos = _parse_sum(s, pos + 1, depth + 1)
         if pos >= len(s) or s[pos] != ')':
             raise PolyParseError('unbalanced parenthesis', pos)
         return p, pos + 1

@@ -1,9 +1,11 @@
 """Reference implementations for cross-checking.
 
-Everything here except sigma_naive, sigma_table_list and
+Everything here except sqrt_bitloop, sigma_naive, sigma_table_list and
 shape_search_grid works on coefficient lists (index i = coefficient of
 x^i) with schoolbook algorithms, deliberately sharing no code with the
-bit-packed production path.  sigma_naive walks the divisor lattice with
+bit-packed production path.  sqrt_bitloop is the bit-at-a-time loop
+that production sqrt's string slice replaced; it defines sqrt on
+non-squares too (the odd-index bits are dropped).  sigma_naive walks the divisor lattice with
 the production factorize, mul and pow_, so it checks sigma's assembly
 from the factorization, not the factorization.  sigma_table_list is the
 one-entry-at-a-time loop over the production sieve that multiplies the
@@ -57,6 +59,26 @@ def list_divmod(a, d):
         for j, y in enumerate(_trim(list(d))):
             a[shift + j] ^= y
     return _trim(q), _trim(a)
+
+
+def list_gcd(a, b):
+    """Euclid on coefficient lists, remainders from list_divmod."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, list_divmod(a, b)[1]
+    return a
+
+
+def sqrt_bitloop(p):
+    """Compact the even-index bits of p, one bit per pass."""
+    r = 0
+    i = 0
+    while p:
+        if p & 1:
+            r |= 1 << i
+        p >>= 2
+        i += 1
+    return r
 
 
 def _trim(c):

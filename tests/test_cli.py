@@ -171,6 +171,8 @@ def test_usage_errors_exit_2(capsys):
     ('odd-square-search', '--max-deg', '0'),
     ('odd-square-search', '--max-deg', '-2'),
     ('certify', 'x^99999999999'),
+    ('certify', '(' * 900 + 'x' + ')' * 900),
+    ('certify', '(' * 3000 + 'x' + ')' * 3000),
 ])
 def test_oversize_bounds_exit_2(capsys, argv):
     # every value here is rejected before any allocation

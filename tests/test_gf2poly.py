@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gf2perfect.gf2poly import (
-    PolyParseError, add, degree, derivative, divrem, gcd, is_self_inverse,
-    is_square, mul, parse, pow_, reverse, sqrt, square, to_hex, to_text,
-    translate,
+    MAX_PARSE_NESTING, PolyParseError, add, degree, derivative, divrem, gcd,
+    is_self_inverse, is_square, mul, parse, pow_, rem, reverse, sqrt, square,
+    to_hex, to_text, translate,
 )
-from oracles import from_coeffs, list_divmod, list_mul, to_coeffs
+from oracles import (
+    from_coeffs, list_divmod, list_gcd, list_mul, sqrt_bitloop, to_coeffs,
+)
 
 X = 0b10
 X1 = 0b11
@@ -123,11 +125,22 @@ def test_parse_product_forms():
     ('x^99999999999', 2),
     ('(x^2)^2049', 6),
     ('x^4096x^4097', 8),
+    ('x^\u00b2', 2),                  # superscript two
+    ('x^\u0661\u0662', 2),            # Arabic-Indic 12
 ])
 def test_parse_errors_report_position(text, pos):
     with pytest.raises(PolyParseError) as exc:
         parse(text)
     assert exc.value.pos == pos
+
+
+def test_parse_nesting_limit():
+    n = MAX_PARSE_NESTING
+    assert parse('(' * n + 'x' + ')' * n) == X
+    assert parse('(x)' * (10 * n)) == pow_(X, 10 * n)  # depth, not count
+    with pytest.raises(PolyParseError) as exc:
+        parse('x(' + '(' * n + 'x' + ')' * (n + 1))
+    assert exc.value.pos == n + 1
 
 
 # short texts over the grammar's own symbols, hex literals and a space
@@ -186,6 +199,43 @@ def test_divrem_matches_long_division_oracle():
         q, r = divrem(p, d)
         oq, orr = list_divmod(to_coeffs(p), to_coeffs(d))
         assert (q, r) == (from_coeffs(oq), from_coeffs(orr))
+
+
+def test_reduction_matches_oracles_at_ddf_degrees():
+    # dividends to degree 256 and divisors to 128: the squares the
+    # distinct-degree loop reduces modulo inputs of degree <= 128
+    rng = random.Random(11)
+    for _ in range(150):
+        p = random_poly(rng, rng.randrange(257))
+        d = rng.randrange(1, 1 << (rng.randrange(129) + 1))
+        oq, orr = list_divmod(to_coeffs(p), to_coeffs(d))
+        assert divrem(p, d) == (from_coeffs(oq), from_coeffs(orr))
+        assert rem(p, d) == from_coeffs(orr)
+
+
+def test_gcd_matches_list_euclid():
+    rng = random.Random(12)
+    for _ in range(100):
+        c = random_poly(rng, rng.randrange(64))  # a common factor, often
+        p = mul(c, random_poly(rng, rng.randrange(65)))
+        q = mul(c, random_poly(rng, rng.randrange(65)))
+        if p == 0 and q == 0:
+            continue
+        assert gcd(p, q) == from_coeffs(list_gcd(to_coeffs(p), to_coeffs(q)))
+
+
+def test_square_and_sqrt_match_oracles():
+    rng = random.Random(13)
+    for _ in range(300):
+        q = random_poly(rng, rng.randrange(129))
+        sq = square(q)
+        assert sq == from_coeffs(list_mul(to_coeffs(q), to_coeffs(q)))
+        assert sqrt(sq) == q
+        p = random_poly(rng, rng.randrange(257))  # a square only by chance
+        assert sqrt(p) == sqrt_bitloop(p)
+    for p in range(64):
+        assert sqrt(p) == sqrt_bitloop(p)
+        assert square(p) == from_coeffs(list_mul(to_coeffs(p), to_coeffs(p)))
 
 
 def test_mul_matches_schoolbook_oracle():
