@@ -178,7 +178,7 @@ def catalog():
 
 # The bulk tables are three uint32 arrays of 2^(max_deg+1) entries (spf,
 # quot, sig); with the last degree round's temporaries a degree-24 search
-# peaks at about 770 MB, and that doubles per degree.  uint32 entries
+# peaks at about 640 MB, and that doubles per degree.  uint32 entries
 # would also wrap past degree 31.
 MAX_EXHAUSTIVE_DEG = 24
 

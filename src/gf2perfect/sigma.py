@@ -78,8 +78,9 @@ def sigma_table(max_deg):
     also divides b: the three-term recurrence times the sigma of the
     cofactor coprime to p.  One vectorised round per degree d fills the
     slice [2^d, 2^(d+1)); b and b // p have lower degree than a, so a
-    round reads only finished slices.  Entries must fit in uint32, so
-    max_deg <= 31.
+    round reads only finished slices.  The even entries have p = x and
+    b = a >> 1, so they are done by slicing; only the odd half gathers
+    through the sieve.  Entries must fit in uint32, so max_deg <= 31.
     """
     import numpy as np
 
@@ -88,16 +89,24 @@ def sigma_table(max_deg):
     sig[1] = 1
     for d in range(1, max_deg + 1):
         lo, hi = 1 << d, 2 << d
-        p = spf[lo:hi]
-        b = quot[lo:hi]
+        # a = 2b: (x+1) sigma(b), plus x sigma(a >> 2) where 4 | a (for
+        # d = 1 that term reads sig[0] = 0)
+        half = sig[lo >> 1:hi >> 1]
+        ev = sig[lo:hi:2]
+        np.left_shift(half, 1, out=ev)
+        ev ^= half
+        ev[::2] ^= sig[lo >> 2:hi >> 2] << 1
+        p = spf[lo + 1:hi:2]
+        b = quot[lo + 1:hi:2]
         s = p ^ 1
         sb = sig[b]
         # deg(s) + deg(sig[b]) = d, so the smaller has degree <= d/2
-        sig[lo:hi] = _clmul(np.minimum(s, sb), np.maximum(s, sb))
+        odd = sig[lo + 1:hi:2]
+        odd[:] = _clmul(np.minimum(s, sb), np.maximum(s, sb))
         # where p also divides b (never for b = 1, since spf[1] = 0);
         # then p^2 divides a, so deg(p) <= d/2
         ext = np.flatnonzero(spf[b] == p)
-        sig[lo + ext] ^= _clmul(p[ext], sig[quot[b[ext]]])
+        odd[ext] ^= _clmul(p[ext], sig[quot[b[ext]]])
     return sig
 
 

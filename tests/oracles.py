@@ -1,22 +1,25 @@
 """Reference implementations for cross-checking.
 
-Everything here except sqrt_bitloop, sigma_naive, sigma_table_list and
-shape_search_grid works on coefficient lists (index i = coefficient of
-x^i) with schoolbook algorithms, deliberately sharing no code with the
-bit-packed production path.  sqrt_bitloop is the bit-at-a-time loop
-that production sqrt's string slice replaced; it defines sqrt on
-non-squares too (the odd-index bits are dropped).  sigma_naive walks the divisor lattice with
+Everything here except sqrt_bitloop, sigma_naive, sigma_table_list,
+smallest_factor_tables_marking and shape_search_grid works on
+coefficient lists (index i = coefficient of x^i) with schoolbook
+algorithms, deliberately sharing no code with the bit-packed production
+path.  sqrt_bitloop is the bit-at-a-time loop that production sqrt's
+string slice replaced; it defines sqrt on non-squares too (the
+odd-index bits are dropped).  sigma_naive walks the divisor lattice with
 the production factorize, mul and pow_, so it checks sigma's assembly
 from the factorization, not the factorization.  sigma_table_list is the
 one-entry-at-a-time loop over the production sieve that multiplies the
 leading prime power's sigma by its cofactor's, so it checks both the
 vectorised degree-slice rounds and the three-term recurrence they use.
-shape_search_grid is the unpinned shape enumeration, so it checks the
-valuation pin.
+smallest_factor_tables_marking is the sieve that marks every product
+p*m of each irreducible p, first-set-wins, so it checks the production
+linear sieve, which marks each composite once.  shape_search_grid is
+the unpinned shape enumeration, so it checks the valuation pin.
 """
 
 from gf2perfect.factor import (
-    factorize, irreducibles_up_to, smallest_factor_tables,
+    _irreducibles_up_to, factorize, irreducibles_up_to, smallest_factor_tables,
 )
 from gf2perfect.gf2poly import X1, degree, mul, pow_, translate
 from gf2perfect.perfect import _classify_pattern, _hk_grid_size
@@ -123,6 +126,40 @@ def sigma_naive(a):
     for d in divisors:
         s ^= d
     return s
+
+
+def smallest_factor_tables_marking(max_deg):
+    """Tables (spf, quot) over all ints below 2^(max_deg+1).
+
+    spf[a] is an irreducible factor of a (the least one, as an int) and
+    quot[a] = a // spf[a]; entries 0 and 1 are left as zero.  Built by
+    marking products p*m for every irreducible p of degree <= max_deg/2,
+    first-set-wins; anything unmarked afterwards has no factor of degree
+    <= max_deg/2 and is therefore itself irreducible.
+    """
+    import numpy as np
+
+    size = 1 << (max_deg + 1)
+    spf = np.zeros(size, dtype=np.uint32)
+    quot = np.zeros(size, dtype=np.uint32)
+    for p in _irreducibles_up_to(max_deg // 2):
+        m = np.arange(1, 1 << (max_deg + 1 - degree(p)), dtype=np.uint32)
+        prod = np.zeros_like(m)
+        bits = p
+        shift = 0
+        while bits:
+            if bits & 1:
+                prod ^= m << shift
+            bits >>= 1
+            shift += 1
+        unmarked = spf[prod] == 0
+        prod = prod[unmarked]
+        spf[prod] = p
+        quot[prod] = m[unmarked]
+    leftovers = np.nonzero(spf[2:] == 0)[0].astype(np.uint32) + 2
+    spf[leftovers] = leftovers
+    quot[leftovers] = 1
+    return spf, quot
 
 
 def sigma_table_list(max_deg):

@@ -173,6 +173,9 @@ def test_usage_errors_exit_2(capsys):
     ('certify', 'x^99999999999'),
     ('certify', '(' * 900 + 'x' + ')' * 900),
     ('certify', '(' * 3000 + 'x' + ')' * 3000),
+    ('irreducibles', '--max-deg', '40'),
+    ('shape-search', '--deg-bound', '40', '--p-deg-bound', '40'),
+    ('verify-lemma', '5', '--p-deg-bound', '40'),
 ])
 def test_oversize_bounds_exit_2(capsys, argv):
     # every value here is rejected before any allocation

@@ -9,7 +9,7 @@ from gf2perfect.factor import (
 from gf2perfect.gf2poly import (
     degree, derivative, gcd, mul, parse, pow_, square,
 )
-from oracles import irreducibles_bruteforce
+from oracles import irreducibles_bruteforce, smallest_factor_tables_marking
 
 
 def test_is_irreducible_examples():
@@ -141,3 +141,15 @@ def test_smallest_factor_tables_consistency():
         assert mul(p, m) == a
         if p == a:
             assert is_irreducible(a)
+        else:
+            # sigma_table tests p | b as spf[b] == p, which holds for the least
+            assert p == factorize(a).primes()[0]
+
+
+def test_sieve_matches_marking_oracle():
+    for d in range(1, 17):
+        tables = smallest_factor_tables(d)
+        for got, want in zip(tables, smallest_factor_tables_marking(d)):
+            assert got.dtype == want.dtype == 'uint32'
+            assert len(got) == len(want) == 1 << (d + 1)
+            assert (got == want).all()
