@@ -219,27 +219,34 @@ def squarefree_part(p):
 
 
 def smallest_factor_tables(max_deg):
-    """Tables (spf, quot) over all ints below 2^(max_deg+1).
+    """Tables (spf, quot) over the odd ints below 2^(max_deg+1).
 
-    spf[a] is the least irreducible factor of a (as an int) and
-    quot[a] = a // spf[a]; entries 0 and 1 are left as zero.  A linear
-    sieve marks each composite once, by its least prime: the multiples
-    of x are strided slices, and for each later irreducible p of degree
-    <= max_deg/2, in ascending order, the cofactors m still unmarked
-    have no prime factor below p, so every p*m gets spf = p.  Anything
-    unmarked afterwards has no factor of degree <= max_deg/2 and is
-    therefore itself irreducible.
+    Entry i describes a = 2i+1: spf[i] is the least irreducible factor
+    of a (as an int) and quot[i] = a // spf[i]; entry 0 (a = 1) is left
+    as zero.  Both tables are uint32 of length 2^max_deg.  Even a are
+    implicit: their least prime is x and their quotient is a >> 1.
+
+    A linear sieve marks each odd composite once, by its least prime:
+    for each irreducible p != x of degree <= max_deg/2, in ascending
+    order, the odd cofactors m still unmarked have no prime factor below
+    p, so every p*m (odd, stored at (p*m) >> 1) gets spf = p.  For x+1
+    that is every odd m.  Anything unmarked afterwards has no factor of
+    degree <= max_deg/2 and is therefore itself irreducible.
     """
     import numpy as np
 
-    size = 1 << (max_deg + 1)
+    size = 1 << max_deg
     spf = np.zeros(size, dtype=np.uint32)
     quot = np.zeros(size, dtype=np.uint32)
-    spf[2::2] = X
-    quot[2::2] = np.arange(1, size // 2, dtype=np.uint32)
     for p in _irreducibles_up_to(max_deg // 2)[1:]:
-        n = 1 << (max_deg + 1 - degree(p))
-        m = (np.flatnonzero(spf[1:n] == 0) + 1).astype(np.uint32)
+        # odd m with deg(p*m) <= max_deg sit at entries below n
+        n = size >> degree(p)
+        if p == X1:
+            m = np.arange(1, 2 * n, 2, dtype=np.uint32)
+        else:
+            m = np.flatnonzero(spf[:n] == 0).astype(np.uint32)
+            m <<= 1
+            m |= 1
         prod = np.zeros_like(m)
         bits = p
         shift = 0
@@ -248,9 +255,10 @@ def smallest_factor_tables(max_deg):
                 prod ^= m << shift
             bits >>= 1
             shift += 1
+        prod >>= 1
         spf[prod] = p
         quot[prod] = m
-    leftovers = np.nonzero(spf[2:] == 0)[0].astype(np.uint32) + 2
-    spf[leftovers] = leftovers
+    leftovers = np.flatnonzero(spf[1:] == 0).astype(np.uint32) + 1
+    spf[leftovers] = 2 * leftovers + 1
     quot[leftovers] = 1
     return spf, quot

@@ -23,7 +23,8 @@ from .gf2poly import (
     translate,
 )
 from .sigma import (
-    Parity, parity, sigma_of_factorization, sigma_prime_power, sigma_table,
+    _BLOCK, Parity, parity, sigma_of_factorization, sigma_prime_power,
+    sigma_table,
 )
 
 
@@ -176,10 +177,10 @@ def catalog():
     return [is_perfect(a) for a in sorted(entries)]
 
 
-# The bulk tables are three uint32 arrays of 2^(max_deg+1) entries (spf,
-# quot, sig); with the last degree round's temporaries a degree-24 search
-# peaks at about 640 MB, and that doubles per degree.  uint32 entries
-# would also wrap past degree 31.
+# The bulk tables are the uint32 sigma table of 2^(max_deg+1) entries and
+# the sieve's two odd-only uint32 tables of half that; with block-sized
+# temporaries a degree-24 search peaks at about 310 MB, and that doubles
+# per degree.  uint32 entries would also wrap past degree 31.
 MAX_EXHAUSTIVE_DEG = 24
 
 
@@ -199,8 +200,14 @@ def exhaustive_search(max_deg):
     t0 = time.perf_counter()
     table = sigma_table(max_deg)
     size = len(table)
-    found = np.flatnonzero(table == np.arange(size, dtype=table.dtype))
-    certs = [is_perfect(a) for a in found[found >= 2].tolist()]
+    # block by block, so no table-sized index or mask is built
+    ramp = np.arange(_BLOCK, dtype=table.dtype)
+    found = []
+    for lo in range(0, size, _BLOCK):
+        part = table[lo:lo + _BLOCK]
+        hits = np.flatnonzero(part == ramp[:len(part)] + lo)
+        found.extend((hits + lo).tolist())
+    certs = [is_perfect(a) for a in found if a >= 2]
     return SearchReport(
         kind='exhaustive',
         degree_bound=max_deg,

@@ -16,7 +16,7 @@ Characteristic-2 prime-power identities used throughout:
 from enum import Enum
 
 from .factor import factorize, smallest_factor_tables
-from .gf2poly import X, X1, gcd, mul, pow_
+from .gf2poly import mul, pow_
 
 
 class Parity(Enum):
@@ -64,10 +64,22 @@ def omega(a):
 
 
 def parity(a):
-    """Even iff x or x+1 divides a, i.e. gcd(a, x^2+x) != 1."""
+    """Even iff x or x+1 divides a, i.e. gcd(a, x^2+x) != 1.
+
+    x divides a iff its constant term is 0, and x+1 divides a iff a(1) =
+    0, i.e. a has an even number of terms.
+    """
     if a == 0:
         raise ValueError('parity of the zero polynomial is undefined')
-    return Parity.EVEN if gcd(a, mul(X, X1)) != 1 else Parity.ODD
+    if a & 1 == 0 or a.bit_count() % 2 == 0:
+        return Parity.EVEN
+    return Parity.ODD
+
+
+# Entries per block of a round's odd half.  Every temporary of a round is
+# block-sized, so the working set is the tables plus a few fixed buffers
+# whatever max_deg is.
+_BLOCK = 1 << 15
 
 
 def sigma_table(max_deg):
@@ -76,17 +88,21 @@ def sigma_table(max_deg):
     Entry a holds sigma(a); entry 0 is unused.  With p = spf(a) and
     b = a // p, sigma(a) = (p+1) sigma(b), plus p sigma(b // p) when p
     also divides b: the three-term recurrence times the sigma of the
-    cofactor coprime to p.  One vectorised round per degree d fills the
-    slice [2^d, 2^(d+1)); b and b // p have lower degree than a, so a
-    round reads only finished slices.  The even entries have p = x and
-    b = a >> 1, so they are done by slicing; only the odd half gathers
-    through the sieve.  Entries must fit in uint32, so max_deg <= 31.
+    cofactor coprime to p.  One round per degree d fills the slice
+    [2^d, 2^(d+1)); b and b // p have lower degree than a, so a round
+    reads only finished slices.  The even entries have p = x and
+    b = a >> 1, so they are done by slicing; the odd half gathers
+    through the odd-only sieve in blocks of _BLOCK entries that reuse
+    the same buffers.  Entries must fit in uint32, so max_deg <= 31.
     """
     import numpy as np
 
     spf, quot = smallest_factor_tables(max_deg)
-    sig = np.zeros(len(spf), dtype=np.uint32)
+    sig = np.zeros(2 * len(spf), dtype=np.uint32)
     sig[1] = 1
+    n = min(_BLOCK, len(spf))
+    s_buf, b_buf, m_buf, t_buf = (np.empty(n, dtype=np.uint32)
+                                  for _ in range(4))
     for d in range(1, max_deg + 1):
         lo, hi = 1 << d, 2 << d
         # a = 2b: (x+1) sigma(b), plus x sigma(a >> 2) where 4 | a (for
@@ -96,33 +112,44 @@ def sigma_table(max_deg):
         np.left_shift(half, 1, out=ev)
         ev ^= half
         ev[::2] ^= sig[lo >> 2:hi >> 2] << 1
-        p = spf[lo + 1:hi:2]
-        b = quot[lo + 1:hi:2]
-        s = p ^ 1
-        sb = sig[b]
-        # deg(s) + deg(sig[b]) = d, so the smaller has degree <= d/2
-        odd = sig[lo + 1:hi:2]
-        odd[:] = _clmul(np.minimum(s, sb), np.maximum(s, sb))
-        # where p also divides b (never for b = 1, since spf[1] = 0);
-        # then p^2 divides a, so deg(p) <= d/2
-        ext = np.flatnonzero(spf[b] == p)
-        odd[ext] ^= _clmul(p[ext], sig[quot[b[ext]]])
+        # odd a = 2i+1 for i in [lo/2, hi/2)
+        for i in range(lo >> 1, hi >> 1, n):
+            j = min(i + n, hi >> 1)
+            k = j - i
+            p = spf[i:j]
+            b = quot[i:j]
+            odd = sig[2 * i + 1:2 * j:2]
+            s = np.bitwise_xor(p, 1, out=s_buf[:k])
+            sb = np.take(sig, b, out=b_buf[:k])
+            # deg(s) + deg(sig[b]) = d, so the smaller has degree <= d/2;
+            # the larger is s ^ sb ^ min
+            mn = np.minimum(s, sb, out=m_buf[:k])
+            s ^= sb
+            s ^= mn
+            _clmul(mn, s, odd, t_buf[:k])
+            # where p also divides b (never for b = 1, since spf[0] = 0);
+            # then p^2 divides a, so deg(p) <= d/2
+            half_b = np.right_shift(b, 1, out=b_buf[:k])
+            ext = np.flatnonzero(np.take(spf, half_b, out=s_buf[:k]) == p)
+            e = ext.size
+            c = np.take(sig, quot[half_b[ext]], out=m_buf[:e])
+            odd[ext] ^= _clmul(p[ext], c, s_buf[:e], t_buf[:e])
     return sig
 
 
-def _clmul(x, y):
-    """Elementwise carryless product of uint32 arrays, looping over x.
+def _clmul(x, y, out, t):
+    """Elementwise carryless product of uint32 arrays x, y into out.
 
     One pass per bit of the largest x, so callers pass as x an operand
     of degree at most d/2: (x & 2^i) * y is y << i when bit i of x is
-    set and 0 otherwise.  Products must fit in 32 bits.
+    set and 0 otherwise.  t is a scratch buffer of the same length;
+    products must fit in 32 bits.  Returns out.
     """
     import numpy as np
 
-    r = np.zeros_like(y)
-    t = np.empty_like(y)
+    out.fill(0)
     for i in range(int(x.max(initial=0)).bit_length()):
         np.bitwise_and(x, 1 << i, out=t)
         t *= y
-        r ^= t
-    return r
+        out ^= t
+    return out

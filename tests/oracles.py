@@ -9,17 +9,18 @@ string slice replaced; it defines sqrt on non-squares too (the
 odd-index bits are dropped).  sigma_naive walks the divisor lattice with
 the production factorize, mul and pow_, so it checks sigma's assembly
 from the factorization, not the factorization.  sigma_table_list is the
-one-entry-at-a-time loop over the production sieve that multiplies the
+one-entry-at-a-time loop over the marking sieve that multiplies the
 leading prime power's sigma by its cofactor's, so it checks both the
-vectorised degree-slice rounds and the three-term recurrence they use.
-smallest_factor_tables_marking is the sieve that marks every product
-p*m of each irreducible p, first-set-wins, so it checks the production
+blocked degree-slice rounds and the three-term recurrence they use,
+without sharing the production sieve.  smallest_factor_tables_marking
+is the full-size sieve that marks every product p*m of each irreducible
+p, first-set-wins, so its odd entries check the production odd-only
 linear sieve, which marks each composite once.  shape_search_grid is
 the unpinned shape enumeration, so it checks the valuation pin.
 """
 
 from gf2perfect.factor import (
-    _irreducibles_up_to, factorize, irreducibles_up_to, smallest_factor_tables,
+    _irreducibles_up_to, factorize, irreducibles_up_to,
 )
 from gf2perfect.gf2poly import X1, degree, mul, pow_, translate
 from gf2perfect.perfect import _classify_pattern, _hk_grid_size
@@ -170,7 +171,7 @@ def sigma_table_list(max_deg):
     a smaller int, so sigma(spf-power) and the coprime cofactor are
     already available.
     """
-    spf, quot = smallest_factor_tables(max_deg)
+    spf, quot = smallest_factor_tables_marking(max_deg)
     spf = spf.tolist()
     quot = quot.tolist()
     size = len(spf)

@@ -135,21 +135,23 @@ def test_smallest_factor_tables_consistency():
     spf = spf.tolist()
     quot = quot.tolist()
     irr = set(_irreducibles_up_to(12))
-    for a in range(2, 1 << 13):
-        p, m = spf[a], quot[a]
+    for a in range(3, 1 << 13, 2):
+        p, m = spf[a >> 1], quot[a >> 1]
         assert p in irr or p == a
         assert mul(p, m) == a
         if p == a:
             assert is_irreducible(a)
         else:
-            # sigma_table tests p | b as spf[b] == p, which holds for the least
+            # sigma_table tests p | b as spf[b >> 1] == p, which needs
+            # the least prime
             assert p == factorize(a).primes()[0]
 
 
 def test_sieve_matches_marking_oracle():
+    # the production sieve keeps the odd entries only: entry i is a = 2i+1
     for d in range(1, 17):
         tables = smallest_factor_tables(d)
         for got, want in zip(tables, smallest_factor_tables_marking(d)):
             assert got.dtype == want.dtype == 'uint32'
-            assert len(got) == len(want) == 1 << (d + 1)
-            assert (got == want).all()
+            assert len(got) == 1 << d
+            assert (got == want[1::2]).all()

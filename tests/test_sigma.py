@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
+import gf2perfect.sigma as sigma_module
 from gf2perfect.factor import irreducibles_up_to
-from gf2perfect.gf2poly import degree, gcd, mul, parse, pow_
+from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_
 from gf2perfect.sigma import (
     Parity, omega, parity, sigma, sigma_prime_power, sigma_table,
 )
@@ -59,6 +61,15 @@ def test_parity_examples():
     assert parity(0b111) is Parity.ODD
     c4 = parse('x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)')
     assert parity(c4) is Parity.EVEN
+
+
+def test_parity_matches_gcd_definition():
+    x2x = mul(X, X1)
+    for a in range(1, 1 << 12):
+        want = Parity.EVEN if gcd(a, x2x) != 1 else Parity.ODD
+        assert parity(a) is want
+    with pytest.raises(ValueError):
+        parity(0)
 
 
 def test_multiplicativity_on_coprime_pairs():
@@ -139,6 +150,27 @@ def test_sigma_table_matches_list_oracle():
         assert len(table) == 1 << (d + 1)
         assert table.dtype == 'uint32'
         assert table[1:].tolist() == sigma_table_list(d)[1:]
+
+
+def test_sigma_table_multi_block_rounds(monkeypatch):
+    # with the default block a round's odd half spans several blocks
+    # only from degree 17 up
+    monkeypatch.setattr(sigma_module, '_BLOCK', 8)
+    for d in range(1, 13):
+        assert sigma_table(d)[1:].tolist() == sigma_table_list(d)[1:]
+
+
+def test_sigma_table_memory_is_tables_plus_fixed_buffers():
+    # the sieve's two odd-only tables are as large as the result, so the
+    # floor is 2x; round-sized temporaries would push the peak past 3x
+    sigma_table(16)  # a first call makes one-off allocations; keep them out
+    tracemalloc.start()
+    try:
+        table = sigma_table(18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
 
 
 def test_sigma_naive_agrees_with_trial_division_walk():
