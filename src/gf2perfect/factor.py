@@ -104,20 +104,27 @@ def _irreducibles_up_to(d):
     return tuple(out)
 
 
-# The Rabin loop tests every odd-weight candidate of each degree, so the
-# enumeration more than doubles per degree: about 5 s to degree 18 and
-# 20 s to degree 20 on a 2-CPU Xeon VM.  Larger bounds would run for
-# minutes with no output.
+# Above _TRIAL_SIEVE_DEG the primes come from the sieve (0.06 s at degree
+# 20 on a 2-CPU Xeon VM, where the Rabin loop took 20 s), so the cap
+# bounds its 2^d-entry tables and the output: 111,013 primes at 20.
 MAX_IRREDUCIBLES_DEG = 20
 
 
 def irreducibles_up_to(d):
-    """All irreducibles of degree <= d, ascending by (degree, bitmask)."""
+    """All irreducibles of degree <= d, ascending by (degree, bitmask).
+
+    Up to degree _TRIAL_SIEVE_DEG this is the cached Rabin list, with
+    no numpy import; above it, x and the primes of the odd-only sieve,
+    whose entries with quot == 1 are the odd irreducibles.
+    """
     if d < 1:
         raise ValueError('degree bound must be >= 1')
     if d > MAX_IRREDUCIBLES_DEG:
         raise ValueError(f'degree bound must be <= {MAX_IRREDUCIBLES_DEG}')
-    return list(_irreducibles_up_to(d))
+    if d <= _TRIAL_SIEVE_DEG:
+        return list(_irreducibles_up_to(d))
+    _, quot = smallest_factor_tables(d)
+    return [X] + (2 * (quot == 1).nonzero()[0] + 1).tolist()
 
 
 def factorize(p, seed=None):

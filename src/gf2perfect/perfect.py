@@ -4,10 +4,11 @@ A polynomial A is perfect when sigma(A) = A.  Three search strategies:
 
 - exhaustive_search walks every nonconstant polynomial up to a degree
   bound via the bulk sigma table;
-- shape_search enumerates candidates x^h (x+1)^k P^l Q^m over distinct
-  odd irreducibles P, Q, with h and k pinned by the valuations of
-  sigma(A) = A, optionally pruning exponent patterns that the classical
-  structure lemmas exclude;
+- shape_search finds the perfect x^h (x+1)^k P^l Q^m over distinct
+  odd irreducibles P, Q with a sigma-closure search: from x^h (x+1)^k
+  it decides each prime that some decided sigma(p^e) needs, so only
+  primes that can divide a perfect A are ever tried.  It optionally
+  skips exponent patterns that the classical structure lemmas exclude;
 - odd_square_search targets odd candidates whose exponents all equal 2.
 
 Every search certifies its finds and reports them as
@@ -15,7 +16,11 @@ PerfectCertificate values inside a SearchReport.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb
 
 from .factor import Factorization, factorize, irreducibles_up_to
 from .gf2poly import (
@@ -252,87 +257,91 @@ def _hit_shape(h, k, l, m):
     return Shape(tag, h, k, l, m)
 
 
-def _hk_grid_size(budget):
-    # pairs h, k >= 1 with h + k <= budget
-    return budget * (budget - 1) // 2 if budget >= 2 else 0
+def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
+    """Depth-first sigma-closure search; returns (states, closed).
 
+    A state holds decided prime powers dec and the multiset need of the
+    primes of their sigmas; every prime of a perfect A is needed, since
+    sigma(P^e) = 1 mod P.  From each seed dict {prime: exp}, the lowest
+    pending (needed, undecided) prime is decided at each exponent from
+    its need up to the degree budget.  A state is pruned when need[q] >
+    dec[q] for a decided q, when more than max_omega primes are in
+    play, when a pending prime has degree above p_deg_bound, or when the
+    decided degree plus the pending minimum exceeds deg_bound.  With
+    prune, a second odd prime is not decided at e beside one at l when
+    _classify_pattern(l, e) names a lemma (sound only if no closure
+    holds three odd primes).
 
-def _prime_power_tables(p, max_exp):
-    """p^l, sigma(p^l) and (v_x, v_{x+1}) of sigma(p^l), for l <= max_exp."""
-    pows, sigs = [1, p], [1, p ^ 1]
-    for _ in range(2, max_exp + 1):
-        pows.append(mul(pows[-1], p))
-        sigs.append(sigs[-1] ^ pows[-1])
-    vals = []
-    for s in sigs:
-        t = translate(s)
-        vals.append(((s & -s).bit_length() - 1, (t & -t).bit_length() - 1))
-    return pows, sigs, vals
-
-
-def _shape_hits(deg_bound, p_deg_bound, use_pruning):
-    """Enumerate the perfect x^h (x+1)^k P^l Q^m for shape_search.
-
-    The valuations of sigma(A) = A pin h to k.  sigma(x^h) is coprime
-    to x and v_{x+1}(sigma(x^h)) = 2^{v_2(h+1)} - 1, and symmetrically
-    under x -> x+1, so with S = sigma(P^l) sigma(Q^m) a perfect A has
-
-        h = v_x(S) + 2^{v_2(k+1)} - 1,  k = v_{x+1}(S) + 2^{v_2(h+1)} - 1.
-
-    So each value of v_2(k+1) yields at most one (h, k) pair, and only
-    pairs meeting both equations get the full sigma(A) = A check.
-    Returns (examined, pruned, hits).
+    A closed state (nothing pending) is perfect: need <= dec, and
+    deg sigma(p^e) = e deg p makes their degrees equal, so need == dec.
+    closed lists their dec; states counts the states entered, seeds
+    included.  Each sigma(p^e) is factored once per call.
     """
-    odd_primes = [p for p in irreducibles_up_to(p_deg_bound) if degree(p) >= 2]
-    # P's partner has degree >= 2 and h, k >= 1, so l * deg(P) <= deg_bound - 4
-    tables = [_prime_power_tables(p, (deg_bound - 4) // degree(p))
-              for p in odd_primes]
+    closed = []
+    states = 0
 
-    ones = [(1 << (h + 1)) - 1 for h in range(deg_bound + 1)]  # sigma(x^h)
-    sig_x1 = [translate(v) for v in ones]                      # sigma((x+1)^k)
-    x1_pow = [1]
-    for _ in range(deg_bound):
-        x1_pow.append(mul(x1_pow[-1], X1))
+    @lru_cache(maxsize=None)
+    def sigma_primes(p, e):
+        return factorize(sigma_prime_power(p, e)).factors
 
-    examined = 0
-    pruned = {'lemma10': 0, 'lemma11': 0}
-    hits = []  # (poly, h, k, l, m, P, Q)
-    for i, p in enumerate(odd_primes):
-        dp = degree(p)
-        p_pow, p_sig, p_val = tables[i]
-        for j in range(i + 1, len(odd_primes)):
-            q = odd_primes[j]
-            dq = degree(q)
-            if dp + dq + 2 > deg_bound:
+    def visit(dec, need, used):
+        nonlocal states
+        states += 1
+        if any(n > dec[q] for q, n in need.items() if q in dec):
+            return
+        pending = [q for q in need if q not in dec]
+        rest = used + sum(need[q] * degree(q) for q in pending)
+        if len(dec) + len(pending) > max_omega or rest > deg_bound \
+                or any(degree(q) > p_deg_bound for q in pending):
+            return
+        if not pending:
+            closed.append(dec)
+            return
+        low = min(pending)
+        d = degree(low)
+        odd = [e for q, e in dec.items() if degree(q) >= 2]
+        paired = prune and d >= 2 and len(odd) == 1
+        for e in range(need[low], need[low] + (deg_bound - rest) // d + 1):
+            if paired and _classify_pattern(odd[0], e) is not None:
                 continue
-            q_pow, q_sig, q_val = tables[j]
-            for l in range(1, (deg_bound - dq - 2) // dp + 1):
-                for m in range(1, (deg_bound - l * dp - 2) // dq + 1):
-                    budget = deg_bound - l * dp - m * dq
-                    if use_pruning:
-                        rule = _classify_pattern(l, m)
-                        if rule is not None:
-                            pruned[rule] += _hk_grid_size(budget)
-                            continue
-                    vx = p_val[l][0] + q_val[m][0]
-                    vx1 = p_val[l][1] + q_val[m][1]
-                    spq = None
-                    # v_2(k+1) = e fixes h, and h fixes k; 2^{v_2(n)} is
-                    # the lowest set bit n & -n
-                    for e in range(budget.bit_length()):
-                        h = vx + (1 << e) - 1
-                        k = vx1 + ((h + 1) & -(h + 1)) - 1
-                        if h < 1 or k < 1 or h + k > budget or \
-                                (k + 1) & -(k + 1) != 1 << e:
-                            continue
-                        examined += 1
-                        if spq is None:
-                            spq = mul(p_sig[l], q_sig[m])
-                            apq = mul(p_pow[l], q_pow[m])
-                        a = mul(x1_pow[k], apq) << h
-                        if mul(ones[h], mul(sig_x1[k], spq)) == a:
-                            hits.append((a, h, k, l, m, p, q))
-    return examined, pruned, hits
+            child = dict(need)
+            for q, n in sigma_primes(low, e):
+                child[q] = child.get(q, 0) + n
+            visit({**dec, low: e}, child, used + e * d)
+
+    for seed in seeds:
+        need = {}
+        for p, e in seed.items():
+            for q, n in sigma_primes(p, e):
+                need[q] = need.get(q, 0) + n
+        visit(seed, need, sum(e * degree(p) for p, e in seed.items()))
+    return states, closed
+
+
+def _pruned_tally(pool, deg_bound):
+    """shapes_pruned in closed form: the (P, Q, h, k) each lemma skips.
+
+    For odd primes of degrees a <= b, a rejected pattern (l, m) with
+    l a + m b <= deg_bound - 2 covers the h, k >= 1 with h + k <=
+    deg_bound - l a - m b, once per pair P < Q of those degrees.
+    """
+    counts = Counter(degree(p) for p in pool if degree(p) >= 2)
+    pruned = {'lemma10': 0, 'lemma11': 0}
+    for a, b in combinations_with_replacement(sorted(counts), 2):
+        pairs = counts[a] * counts[b] if a < b else comb(counts[a], 2)
+        for l in range(1, (deg_bound - 2 - b) // a + 1):
+            for m in range(1, (deg_bound - 2 - l * a) // b + 1):
+                rule = _classify_pattern(l, m)
+                if rule is not None:
+                    budget = deg_bound - l * a - m * b
+                    pruned[rule] += pairs * budget * (budget - 1) // 2
+    return pruned
+
+
+# The closure states grow about as deg_bound^2.3: on a 2-CPU Xeon VM the
+# CLI takes 1.0 s at deg_bound 200 and 2.5 s and 16 MB at 300 with
+# --p-deg-bound 10 (3.1 s and 42 MB with 20, the sieve's tables).
+MAX_SHAPE_DEG = 300
 
 
 def shape_search(deg_bound, p_deg_bound, use_pruning=True):
@@ -341,21 +350,41 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
     All four exponents are at least 1 (an even perfect polynomial with
     four prime factors has both linear primes present) and the total
     degree is capped by deg_bound; P and Q range over irreducibles of
-    degree 2..p_deg_bound.  With pruning on, exponent patterns excluded
-    by the structure lemmas are skipped and tallied per rule (as the
-    number of (h, k) pairs they cover) instead of certified.
-    candidates_examined counts the (P, Q, l, m, h, k) tuples that pass
-    the valuation pin of _shape_hits and get the full sigma(A) = A
-    check.
+    degree 2..p_deg_bound.
+
+    The search is _closure seeded with {x: h, x+1: k}, h, k >= 1 and
+    h + k <= deg_bound - 4, at most four primes; the finds are its closed
+    states with two odd primes.  That misses nothing: in a perfect A,
+    the closure R of {x, x+1} holds its sigmas' primes, so by degree the
+    R-part of A is perfect and so is the rest U, which is 1 or P^l Q^m,
+    as no prime divides its own sigma.  An odd U has l, m even, since
+    x | sigma(r^f), r(0) = r(1) = 1, exactly when f is odd; then
+    sigma(P^l) = Q^m is a square, yet its derivative
+    P' sigma(P^(l/2-1))^2 is not zero.  So U = 1.
+
+    With pruning on, no odd prime is decided at an exponent forming a
+    pattern (l, m) the structure lemmas exclude, and shapes_pruned
+    tallies, per rule and in closed form, the (P, Q, h, k) those
+    patterns cover.  candidates_examined counts the closure states
+    entered.  Every find is certified.
     """
     if deg_bound < 1 or p_deg_bound < 1:
         raise ValueError('bounds must be >= 1')
+    if deg_bound > MAX_SHAPE_DEG:
+        raise ValueError(f'deg_bound must be <= {MAX_SHAPE_DEG}')
     t0 = time.perf_counter()
-    examined, pruned, hits = _shape_hits(deg_bound, p_deg_bound, use_pruning)
-
+    pool = irreducibles_up_to(p_deg_bound)
+    top = deg_bound - 4
+    examined, closed = _closure(
+        ({X: h, X1: k} for h in range(1, top) for k in range(1, top - h + 1)),
+        deg_bound, p_deg_bound, 4, use_pruning)
+    # x and x+1 are always decided, so four primes means two odd ones
+    hits = sorted((_product(*(pow_(p, e) for p, e in dec.items())), dec)
+                  for dec in closed if len(dec) == 4)
     certs = []
     found_shapes = {}
-    for poly, h, k, l, m, p, q in sorted(hits):
+    for poly, dec in hits:
+        (_, h), (_, k), (p, l), (q, m) = sorted(dec.items())
         certs.append(is_perfect(poly))
         shape = _hit_shape(h, k, l, m)
         if shape.l != l:
@@ -370,7 +399,7 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
         config={'deg_bound': deg_bound, 'p_deg_bound': p_deg_bound,
                 'use_pruning': use_pruning},
         candidates_examined=examined,
-        shapes_pruned=pruned if use_pruning else {},
+        shapes_pruned=_pruned_tally(pool, deg_bound) if use_pruning else {},
         perfects_found=certs,
         wall_time=time.perf_counter() - t0,
         found_shapes=found_shapes,

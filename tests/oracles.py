@@ -1,7 +1,7 @@
 """Reference implementations for cross-checking.
 
 Everything here except sqrt_bitloop, sigma_naive, sigma_table_list,
-smallest_factor_tables_marking and shape_search_grid works on
+smallest_factor_tables_marking and the two shape searches works on
 coefficient lists (index i = coefficient of x^i) with schoolbook
 algorithms, deliberately sharing no code with the bit-packed production
 path.  sqrt_bitloop is the bit-at-a-time loop that production sqrt's
@@ -15,15 +15,21 @@ blocked degree-slice rounds and the three-term recurrence they use,
 without sharing the production sieve.  smallest_factor_tables_marking
 is the full-size sieve that marks every product p*m of each irreducible
 p, first-set-wins, so its odd entries check the production odd-only
-linear sieve, which marks each composite once.  shape_search_grid is
-the unpinned shape enumeration, so it checks the valuation pin.
+linear sieve, which marks each composite once.  shape_search_grid and
+shape_search_pinned walk every (P, Q, l, m) over the irreducibles up
+to the prime degree bound and test sigma(A) = A directly, on the whole
+(h, k) grid or on the (h, k) pairs the valuations pin, so they check
+the production sigma-closure search, which never enumerates P and Q
+and instead decides the primes that the decided sigma(p^e) need.  They
+return (examined, pruned, hits) with hits as (A, h, k, l, m, P, Q);
+the pruned tallies check shape_search's closed-form count.
 """
 
 from gf2perfect.factor import (
     _irreducibles_up_to, factorize, irreducibles_up_to,
 )
 from gf2perfect.gf2poly import X1, degree, mul, pow_, translate
-from gf2perfect.perfect import _classify_pattern, _hk_grid_size
+from gf2perfect.perfect import _classify_pattern
 
 
 def to_coeffs(p):
@@ -201,13 +207,12 @@ def sigma_table_list(max_deg):
 
 
 def shape_search_grid(deg_bound, p_deg_bound, use_pruning):
-    """Differential oracle for perfect._shape_hits: the full (h, k) grid.
+    """The full (h, k) grid shape enumeration, with no valuation pin.
 
     Checks sigma(A) = A for every x^h (x+1)^k P^l Q^m with h, k >= 1 in
-    the degree budget, with no valuation pin.  Returns the same
-    (examined, pruned, hits) triple, so it can stand in for
-    perfect._shape_hits under shape_search; examined counts every grid
-    point.  Uses the production mul, translate and pattern classifier.
+    the degree budget.  Returns (examined, pruned, hits) like
+    shape_search_pinned; examined counts every grid point.  Uses the
+    production mul, translate and pattern classifier.
     """
     odd_primes = [p for p in irreducibles_up_to(p_deg_bound) if degree(p) >= 2]
 
@@ -253,4 +258,87 @@ def shape_search_grid(deg_bound, p_deg_bound, use_pruning):
                             examined += 1
                             if mul(ones[h], sk) == ak << h:
                                 hits.append((ak << h, h, k, l, m, p, q))
+    return examined, pruned, hits
+
+
+def _hk_grid_size(budget):
+    # pairs h, k >= 1 with h + k <= budget
+    return budget * (budget - 1) // 2 if budget >= 2 else 0
+
+
+def _prime_power_tables(p, max_exp):
+    """p^l, sigma(p^l) and (v_x, v_{x+1}) of sigma(p^l), for l <= max_exp."""
+    pows, sigs = [1, p], [1, p ^ 1]
+    for _ in range(2, max_exp + 1):
+        pows.append(mul(pows[-1], p))
+        sigs.append(sigs[-1] ^ pows[-1])
+    vals = []
+    for s in sigs:
+        t = translate(s)
+        vals.append(((s & -s).bit_length() - 1, (t & -t).bit_length() - 1))
+    return pows, sigs, vals
+
+
+def shape_search_pinned(deg_bound, p_deg_bound, use_pruning):
+    """The valuation-pinned shape enumeration: perfect x^h (x+1)^k P^l Q^m.
+
+    The valuations of sigma(A) = A pin h to k.  sigma(x^h) is coprime
+    to x and v_{x+1}(sigma(x^h)) = 2^{v_2(h+1)} - 1, and symmetrically
+    under x -> x+1, so with S = sigma(P^l) sigma(Q^m) a perfect A has
+
+        h = v_x(S) + 2^{v_2(k+1)} - 1,  k = v_{x+1}(S) + 2^{v_2(h+1)} - 1.
+
+    So each value of v_2(k+1) yields at most one (h, k) pair, and only
+    pairs meeting both equations get the full sigma(A) = A check.
+    Returns (examined, pruned, hits).
+    """
+    odd_primes = [p for p in irreducibles_up_to(p_deg_bound) if degree(p) >= 2]
+    # P's partner has degree >= 2 and h, k >= 1, so l * deg(P) <= deg_bound - 4
+    tables = [_prime_power_tables(p, (deg_bound - 4) // degree(p))
+              for p in odd_primes]
+
+    ones = [(1 << (h + 1)) - 1 for h in range(deg_bound + 1)]  # sigma(x^h)
+    sig_x1 = [translate(v) for v in ones]                      # sigma((x+1)^k)
+    x1_pow = [1]
+    for _ in range(deg_bound):
+        x1_pow.append(mul(x1_pow[-1], X1))
+
+    examined = 0
+    pruned = {'lemma10': 0, 'lemma11': 0}
+    hits = []  # (poly, h, k, l, m, P, Q)
+    for i, p in enumerate(odd_primes):
+        dp = degree(p)
+        p_pow, p_sig, p_val = tables[i]
+        for j in range(i + 1, len(odd_primes)):
+            q = odd_primes[j]
+            dq = degree(q)
+            if dp + dq + 2 > deg_bound:
+                continue
+            q_pow, q_sig, q_val = tables[j]
+            for l in range(1, (deg_bound - dq - 2) // dp + 1):
+                for m in range(1, (deg_bound - l * dp - 2) // dq + 1):
+                    budget = deg_bound - l * dp - m * dq
+                    if use_pruning:
+                        rule = _classify_pattern(l, m)
+                        if rule is not None:
+                            pruned[rule] += _hk_grid_size(budget)
+                            continue
+                    vx = p_val[l][0] + q_val[m][0]
+                    vx1 = p_val[l][1] + q_val[m][1]
+                    spq = None
+                    # v_2(k+1) = e fixes h, and h fixes k; 2^{v_2(n)} is
+                    # the lowest set bit n & -n
+                    for e in range(budget.bit_length()):
+                        h = vx + (1 << e) - 1
+                        k = vx1 + ((h + 1) & -(h + 1)) - 1
+                        if h < 1 or k < 1 or h + k > budget or \
+                                (k + 1) & -(k + 1) != 1 << e:
+                            continue
+                        examined += 1
+                        if spq is None:
+                            spq = mul(p_sig[l], q_sig[m])
+                            apq = mul(p_pow[l], q_pow[m])
+                        a = mul(x1_pow[k], apq) << h
+                        if mul(ones[h], mul(sig_x1[k], spq)) == a:
+                            hits.append((a, h, k, l, m, p, q))
     return examined, pruned, hits

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,35 @@ def test_irreducibles_small_degrees():
 
 def test_irreducibles_match_bruteforce_sieve():
     assert irreducibles_up_to(6) == irreducibles_bruteforce(6)
+
+
+@pytest.mark.parametrize('d', [11, 12, 13, 14])
+def test_irreducibles_from_sieve_match_rabin(d):
+    # above degree 10 the public list reads the sieve's primes
+    polys = irreducibles_up_to(d)
+    assert polys == list(_irreducibles_up_to(d))
+    assert all(type(p) is int for p in polys)
+
+
+NUMPY_PROBE = '''
+import sys
+sys.path.insert(0, sys.argv[1])
+from gf2perfect.factor import irreducibles_up_to
+from gf2perfect.perfect import shape_search
+irreducibles_up_to(10)
+shape_search(40, 8)
+print('numpy' in sys.modules)
+'''
+
+
+def test_small_irreducibles_and_shape_search_skip_numpy():
+    # a fresh interpreter, since other tests import numpy
+    src = Path(__file__).resolve().parents[1] / 'src'
+    out = subprocess.run(
+        [sys.executable, '-c', NUMPY_PROBE, str(src)],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == 'False'
 
 
 def _mobius(n):

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from gf2perfect import perfect
 from gf2perfect.canaday import verify_minimal_prime_parity
-from gf2perfect.gf2poly import X, X1, degree, parse, pow_, square, translate
+from gf2perfect.factor import irreducibles_up_to
+from gf2perfect.gf2poly import (
+    X, X1, degree, derivative, is_square, mul, parse, pow_, square, to_hex,
+    translate,
+)
 from gf2perfect.perfect import (
-    C1, C2, C3, C4, C5, S1, T1, T2, Shape, exhaustive_search, is_perfect,
-    odd_square_search, shape_search, trivial_perfect,
+    C1, C2, C3, C4, C5, S1, T1, T2, Shape, _closure, _hit_shape, _product,
+    exhaustive_search, is_perfect, odd_square_search, shape_search,
+    trivial_perfect,
 )
 from gf2perfect.sigma import Parity, sigma, sigma_prime_power
-from oracles import shape_search_grid
+from oracles import shape_search_grid, shape_search_pinned
 
 
 def test_named_catalog_entries():
@@ -142,6 +146,12 @@ def test_shape_search_beyond_benchmark_bounds():
     assert all(c.is_perfect and c.omega == 4 for c in r.perfects_found)
 
 
+def test_shape_search_to_degree_120():
+    r = shape_search(120, 10)
+    assert r.found_polys() == sorted([C1, C2, C3, C4, C5])
+    assert all(c.is_perfect and c.omega == 4 for c in r.perfects_found)
+
+
 def _trailing_zeros(p):
     return (p & -p).bit_length() - 1
 
@@ -154,17 +164,54 @@ def test_valuation_pin_identities():
         assert _trailing_zeros(sigma_prime_power(X1, n)) == expected
 
 
-@pytest.mark.parametrize('bound, pbound', [(24, 6), (16, 4), (12, 4)])
+def _oracle_report(oracle, bound, pbound, use_pruning):
+    """found_polys, found_shapes and shapes_pruned from an oracle's hits."""
+    _, pruned, hits = oracle(bound, pbound, use_pruning)
+    shapes = {}
+    for poly, h, k, l, m, p, q in sorted(hits):
+        shape = _hit_shape(h, k, l, m)
+        if shape.l != l:
+            p, q = q, p
+        shapes[poly] = {
+            'case_tag': shape.case_tag, 'h': h, 'k': k, 'l': shape.l,
+            'm': shape.m, 'p_hex': to_hex(p), 'q_hex': to_hex(q),
+        }
+    return sorted(shapes), shapes, pruned if use_pruning else {}
+
+
+@pytest.mark.parametrize('bound, pbound, oracle', [
+    (24, 6, shape_search_grid), (16, 4, shape_search_grid),
+    (12, 4, shape_search_grid), (24, 6, shape_search_pinned),
+    (16, 4, shape_search_pinned), (12, 4, shape_search_pinned),
+    (16, 3, shape_search_pinned), (40, 8, shape_search_pinned),
+])
 @pytest.mark.parametrize('use_pruning', [True, False])
-def test_pinned_shape_search_matches_grid(monkeypatch, bound, pbound,
-                                          use_pruning):
-    pinned = shape_search(bound, pbound, use_pruning)
-    monkeypatch.setattr(perfect, '_shape_hits', shape_search_grid)
-    grid = shape_search(bound, pbound, use_pruning)
-    assert pinned.found_polys() == grid.found_polys()
-    assert pinned.found_shapes == grid.found_shapes
-    assert pinned.shapes_pruned == grid.shapes_pruned
-    assert pinned.candidates_examined <= grid.candidates_examined
+def test_shape_search_matches_oracles(bound, pbound, oracle, use_pruning):
+    r = shape_search(bound, pbound, use_pruning)
+    got = r.found_polys(), r.found_shapes, r.shapes_pruned
+    assert got == _oracle_report(oracle, bound, pbound, use_pruning)
+
+
+def test_closure_from_x_finds_every_perfect_to_degree_20(exhaustive20):
+    # the engine alone, with no cap on the primes: the closed states
+    # seeded from x^h are exactly the perfect polynomials of degree <= 20
+    states, closed = _closure(({X: h} for h in range(1, 21)), 20, 20, 20)
+    polys = sorted(_product(*(pow_(p, e) for p, e in dec.items()))
+                   for dec in closed)
+    assert polys == exhaustive20.found_polys()
+    assert all(sigma(a) == a for a in polys)
+    assert states > len(closed)
+
+
+def test_even_power_sigma_is_never_a_square():
+    # the lemma that lets shape_search seed from x and x+1 alone:
+    # (sigma(P^l))' = P' sigma(P^(l/2-1))^2 is nonzero for even l
+    for p in irreducibles_up_to(8)[2:]:
+        for l in range(2, 31, 2):
+            s = sigma_prime_power(p, l)
+            assert derivative(s) == mul(
+                derivative(p), square(sigma_prime_power(p, l // 2 - 1)))
+            assert not is_square(s)
 
 
 def test_shape_search_bad_bounds():
