@@ -132,12 +132,20 @@ def verify_lemma6(p_deg_bound, n_bound):
     return violations
 
 
+# Every prime up to the bound has sigma(P^(2n)) factored, which about
+# doubles the cost per degree: on a 2-CPU Xeon VM the CLI at the default
+# --n-bound 4 takes 0.3 s at 10, 2.2-2.9 s at 13 and 4.2-5.1 s at 14.
+MAX_EVEN_POWERS_P_DEG = 13
+
+
 def _sigma_even_powers(p_deg_bound, n_bound):
     if p_deg_bound < 1 or n_bound < 1:
         raise ValueError('bounds must be >= 1')
-    for p in irreducibles_up_to(p_deg_bound):
-        for n in range(1, n_bound + 1):
-            yield p, n, factorize(sigma_prime_power(p, 2 * n))
+    if p_deg_bound > MAX_EVEN_POWERS_P_DEG:
+        raise ValueError(f'p_deg_bound must be <= {MAX_EVEN_POWERS_P_DEG}')
+    return ((p, n, factorize(sigma_prime_power(p, 2 * n)))
+            for p in irreducibles_up_to(p_deg_bound)
+            for n in range(1, n_bound + 1))
 
 
 def _root_of(fac, g):

@@ -81,22 +81,6 @@ def _emit_report(report, ns):
     return 0
 
 
-def _cmd_search(ns):
-    report = perfect.exhaustive_search(ns.max_deg)
-    return _emit_report(report, ns)
-
-
-def _cmd_shape_search(ns):
-    report = perfect.shape_search(ns.deg_bound, ns.p_deg_bound,
-                                  use_pruning=not ns.no_prune)
-    return _emit_report(report, ns)
-
-
-def _cmd_odd_square_search(ns):
-    report = perfect.odd_square_search(ns.max_deg)
-    return _emit_report(report, ns)
-
-
 def _cmd_irreducibles(ns):
     polys = irreducibles_up_to(ns.max_deg)
     counts = {}
@@ -180,15 +164,19 @@ def build_parser():
 
     add_parser('catalog', _cmd_catalog)
 
-    p = add_parser('search', _cmd_search)
+    p = add_parser('search', lambda ns: _emit_report(
+        perfect.exhaustive_search(ns.max_deg), ns))
     p.add_argument('--max-deg', type=int, required=True)
 
-    p = add_parser('shape-search', _cmd_shape_search)
+    p = add_parser('shape-search', lambda ns: _emit_report(
+        perfect.shape_search(ns.deg_bound, ns.p_deg_bound,
+                             use_pruning=not ns.no_prune), ns))
     p.add_argument('--deg-bound', type=int, required=True)
     p.add_argument('--p-deg-bound', type=int, required=True)
     p.add_argument('--no-prune', action='store_true')
 
-    p = add_parser('odd-square-search', _cmd_odd_square_search)
+    p = add_parser('odd-square-search', lambda ns: _emit_report(
+        perfect.odd_square_search(ns.max_deg), ns))
     p.add_argument('--max-deg', type=int, required=True)
 
     p = add_parser('irreducibles', _cmd_irreducibles)

@@ -16,13 +16,12 @@ PerfectCertificate values inside a SearchReport.
 """
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .factor import Factorization, factorize, irreducibles_up_to
+from .factor import MAX_IRREDUCIBLES_DEG, Factorization, factorize
 from .gf2poly import (
     X, X1, degree, derivative, gcd, mul, pow_, square, to_hex, to_text,
     translate,
@@ -318,16 +317,21 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     return states, closed
 
 
-def _pruned_tally(pool, deg_bound):
+def _pruned_tally(deg_bound, p_deg_bound):
     """shapes_pruned in closed form: the (P, Q, h, k) each lemma skips.
 
     For odd primes of degrees a <= b, a rejected pattern (l, m) with
     l a + m b <= deg_bound - 2 covers the h, k >= 1 with h + k <=
-    deg_bound - l a - m b, once per pair P < Q of those degrees.
+    deg_bound - l a - m b, once per pair P < Q of those degrees.  The
+    number N(d) of irreducibles of degree d follows from
+    sum_{e | d} e N(e) = 2^d.
     """
-    counts = Counter(degree(p) for p in pool if degree(p) >= 2)
+    counts = {}
+    for d in range(1, p_deg_bound + 1):
+        counts[d] = ((1 << d) - sum(e * n for e, n in counts.items()
+                                    if d % e == 0)) // d
     pruned = {'lemma10': 0, 'lemma11': 0}
-    for a, b in combinations_with_replacement(sorted(counts), 2):
+    for a, b in combinations_with_replacement(range(2, p_deg_bound + 1), 2):
         pairs = counts[a] * counts[b] if a < b else comb(counts[a], 2)
         for l in range(1, (deg_bound - 2 - b) // a + 1):
             for m in range(1, (deg_bound - 2 - l * a) // b + 1):
@@ -340,7 +344,7 @@ def _pruned_tally(pool, deg_bound):
 
 # The closure states grow about as deg_bound^2.3: on a 2-CPU Xeon VM the
 # CLI takes 1.0 s at deg_bound 200 and 2.5 s and 16 MB at 300 with
-# --p-deg-bound 10 (3.1 s and 42 MB with 20, the sieve's tables).
+# --p-deg-bound 10 (2.3-3.1 s and 17 MB with 20).
 MAX_SHAPE_DEG = 300
 
 
@@ -372,8 +376,9 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
         raise ValueError('bounds must be >= 1')
     if deg_bound > MAX_SHAPE_DEG:
         raise ValueError(f'deg_bound must be <= {MAX_SHAPE_DEG}')
+    if p_deg_bound > MAX_IRREDUCIBLES_DEG:
+        raise ValueError(f'degree bound must be <= {MAX_IRREDUCIBLES_DEG}')
     t0 = time.perf_counter()
-    pool = irreducibles_up_to(p_deg_bound)
     top = deg_bound - 4
     examined, closed = _closure(
         ({X: h, X1: k} for h in range(1, top) for k in range(1, top - h + 1)),
@@ -399,7 +404,8 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
         config={'deg_bound': deg_bound, 'p_deg_bound': p_deg_bound,
                 'use_pruning': use_pruning},
         candidates_examined=examined,
-        shapes_pruned=_pruned_tally(pool, deg_bound) if use_pruning else {},
+        shapes_pruned=(_pruned_tally(deg_bound, p_deg_bound)
+                       if use_pruning else {}),
         perfects_found=certs,
         wall_time=time.perf_counter() - t0,
         found_shapes=found_shapes,
@@ -424,18 +430,13 @@ def odd_square_search(max_deg):
     t0 = time.perf_counter()
     examined = 0
     certs = []
-    for b in range(2, 1 << (max_deg // 2 + 1)):
-        # odd means unit constant term and a root-free value at 1
-        if b & 1 == 0 or b.bit_count() % 2 == 0:
-            continue
-        if gcd(b, derivative(b)) != 1:
-            continue  # not squarefree
+    for b in range(3, 1 << (max_deg // 2 + 1), 2):
+        if parity(b) is Parity.EVEN or gcd(b, derivative(b)) != 1:
+            continue  # not odd, or not squarefree
         examined += 1
-        s = 1
-        for prime, _ in factorize(b):
-            s = mul(s, sigma_prime_power(prime, 2))
-        if s == square(b):
-            certs.append(is_perfect(square(b)))
+        a = square(b)
+        if sigma_of_factorization((p, 2) for p in factorize(b).primes()) == a:
+            certs.append(is_perfect(a))
     return SearchReport(
         kind='odd-square',
         degree_bound=max_deg,

@@ -2,9 +2,11 @@
 
 sigma(A) is the xor-sum of all divisors of A.  It is multiplicative, so
 the production path assembles it from the factorization: sigma(P^n) per
-prime power, multiplied out.
+prime power as the geometric series (P^(n+1) + 1) / (P + 1), multiplied
+out.
 
-Characteristic-2 prime-power identities used throughout:
+Characteristic-2 prime-power identities, each tested against that path
+(sigma_table builds on the recurrence):
 
 - Mersenne exponents:  1 + P + ... + P^(2^s - 1) = (P+1)^(2^s - 1)
 - splitting, n+1 = 2^s * u with u odd:
@@ -16,7 +18,7 @@ Characteristic-2 prime-power identities used throughout:
 from enum import Enum
 
 from .factor import factorize, smallest_factor_tables
-from .gf2poly import mul, pow_
+from .gf2poly import divexact, mul, pow_
 
 
 class Parity(Enum):
@@ -26,21 +28,18 @@ class Parity(Enum):
 
 
 def sigma_prime_power(p, n):
-    """1 + p + ... + p^n for nonzero p.
+    """1 + p + ... + p^n for nonzero p: (p^(n+1) + 1) / (p + 1).
 
-    Splits n+1 = 2^s * u (u odd) and applies the characteristic-2
-    identity; the odd Horner tail has u-1 multiplications.
+    p + 1 itself for n = 1, the common case in a factorization, and
+    (n + 1) mod 2 for p = 1, where p + 1 = 0.
     """
     if p == 0:
         raise ValueError('sigma of a power of the zero polynomial')
-    n += 1
-    s = (n & -n).bit_length() - 1
-    u = n >> s
-    r = 1
-    for _ in range(u - 1):  # 1 + p*(previous), u-1 times
-        r = mul(p, r) ^ 1
-    r = pow_(r, 1 << s)
-    return mul(r, pow_(p ^ 1, (1 << s) - 1))
+    if p == 1:
+        return (n + 1) & 1
+    if n == 1:
+        return p ^ 1
+    return divexact(pow_(p, n + 1) ^ 1, p ^ 1)
 
 
 def sigma(a, seed=None):

@@ -176,6 +176,10 @@ def test_usage_errors_exit_2(capsys):
     ('irreducibles', '--max-deg', '40'),
     ('shape-search', '--deg-bound', '40', '--p-deg-bound', '40'),
     ('verify-lemma', '5', '--p-deg-bound', '40'),
+    ('verify-lemma', '5', '--p-deg-bound', '15'),
+    ('verify-lemma', '5', '--p-deg-bound', '20'),
+    ('verify-lemma', '6', '--p-deg-bound', '15'),
+    ('verify-lemma', '6', '--p-deg-bound', '20'),
     ('shape-search', '--deg-bound', '301', '--p-deg-bound', '8'),
     ('shape-search', '--deg-bound', '100000', '--p-deg-bound', '8'),
 ])

@@ -87,6 +87,7 @@ from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.perfect import shape_search
 irreducibles_up_to(10)
 shape_search(40, 8)
+shape_search(60, 20)  # the tally counts primes without listing them
 print('numpy' in sys.modules)
 '''
 

@@ -152,6 +152,20 @@ def test_shape_search_to_degree_120():
     assert all(c.is_perfect and c.omega == 4 for c in r.perfects_found)
 
 
+@pytest.mark.parametrize('bound, pbound, pruned, examined', [
+    (60, 20, {'lemma10': 33408, 'lemma11': 1398205436}, 3868),
+    (120, 12, {'lemma10': 50204733, 'lemma11': 4692183998}, 15005),
+])
+def test_shape_search_counts_at_large_prime_bounds(bound, pbound, pruned,
+                                                   examined):
+    # the figures the tally gave when it counted a list of the primes;
+    # it now takes the counts from sum_{e | d} e N(e) = 2^d
+    r = shape_search(bound, pbound)
+    assert r.shapes_pruned == pruned
+    assert r.candidates_examined == examined
+    assert r.found_polys() == sorted([C1, C2, C3, C4, C5])
+
+
 def _trailing_zeros(p):
     return (p & -p).bit_length() - 1
 

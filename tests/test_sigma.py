@@ -28,6 +28,8 @@ def test_sigma_prime_power_examples():
     assert sigma_prime_power(0b111, 2) == 0b10011          # 1 + P + P^2
     assert sigma_prime_power(0b111, 3) == pow_(0b110, 3)   # (P+1)^3
     assert sigma_prime_power(0b111, 0) == 1
+    assert sigma_prime_power(1, 2) == 1  # 1 + 1 + 1
+    assert sigma_prime_power(1, 3) == 0
     with pytest.raises(ValueError):
         sigma_prime_power(0, 2)
 
@@ -38,6 +40,9 @@ def test_sigma_prime_power_matches_horner():
         p = rng.randrange(1, 1 << 6)
         n = rng.randrange(0, 12)
         assert sigma_prime_power(p, n) == horner_sigma(p, n)
+    for p in (X, X1):
+        for n in range(301):
+            assert sigma_prime_power(p, n) == horner_sigma(p, n)
 
 
 def test_sigma_examples():
