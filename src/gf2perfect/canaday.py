@@ -64,11 +64,20 @@ def special_form(p):
     return SpecialForm(a, b, p)
 
 
+# The caps below keep each verifier under about 5 s in the CLI on a
+# 2-CPU Xeon VM, where repeated runs spread by up to a third.  Lemma
+# 1(iv) builds and tests d + 1 candidates per degree d: 1.2 s at
+# max_deg 300, 2.9-3.4 s at 450, 4.5 s at 500 and 6.8 s at 600.
+MAX_LEMMA1IV_DEG = 450
+
+
 def verify_lemma1_iv(max_deg):
     """All irreducible self-inverse special-form polynomials of degree
     2..max_deg; classically exactly 1+x+x^2 and 1+x+x^2+x^3+x^4."""
     if max_deg < 2:
         raise ValueError('max_deg must be >= 2')
+    if max_deg > MAX_LEMMA1IV_DEG:
+        raise ValueError(f'max_deg must be <= {MAX_LEMMA1IV_DEG}')
     out = []
     for d in range(2, max_deg + 1):
         for a in range(d + 1):
@@ -78,12 +87,20 @@ def verify_lemma1_iv(max_deg):
     return sorted(out)
 
 
+# Lemma 4 divides sigma(x^(2h)) by sigma((x+1)^(2k)) for each k < h,
+# so a k_bound at or above h_bound adds no work: 3.8-5.5 s at h_bound =
+# k_bound = 350, 4.8 s at 380 and 6.3 s at 400.
+MAX_LEMMA4_BOUND = 350
+
+
 def verify_lemma4(h_bound, k_bound):
     """All (h, k, P, Q) with sigma(x^(2h)) = P*Q for irreducible P, Q
     and P = sigma((x+1)^(2k)); classically the single solution
     (4, 1, 1+x+x^2, 1+x^3+x^6)."""
     if h_bound < 1 or k_bound < 1:
         raise ValueError('bounds must be >= 1')
+    if max(h_bound, k_bound) > MAX_LEMMA4_BOUND:
+        raise ValueError(f'bounds must be <= {MAX_LEMMA4_BOUND}')
     out = []
     for h in range(1, h_bound + 1):
         a = _ones(2 * h)
@@ -135,7 +152,10 @@ def verify_lemma6(p_deg_bound, n_bound):
 # Every prime up to the bound has sigma(P^(2n)) factored, which about
 # doubles the cost per degree: on a 2-CPU Xeon VM the CLI at the default
 # --n-bound 4 takes 0.3 s at 10, 2.2-2.9 s at 13 and 4.2-5.1 s at 14.
+# The two costs multiply; at p_deg_bound 13 lemmas 5 and 6 take
+# 4.3-5.7 s at n_bound 5 and 7.5 s at 6.
 MAX_EVEN_POWERS_P_DEG = 13
+MAX_EVEN_POWERS_N = 5
 
 
 def _sigma_even_powers(p_deg_bound, n_bound):
@@ -143,6 +163,8 @@ def _sigma_even_powers(p_deg_bound, n_bound):
         raise ValueError('bounds must be >= 1')
     if p_deg_bound > MAX_EVEN_POWERS_P_DEG:
         raise ValueError(f'p_deg_bound must be <= {MAX_EVEN_POWERS_P_DEG}')
+    if n_bound > MAX_EVEN_POWERS_N:
+        raise ValueError(f'n_bound must be <= {MAX_EVEN_POWERS_N}')
     return ((p, n, factorize(sigma_prime_power(p, 2 * n)))
             for p in irreducibles_up_to(p_deg_bound)
             for n in range(1, n_bound + 1))
@@ -157,11 +179,18 @@ def _root_of(fac, g):
     return root
 
 
+# Theorem 8 factors 1 + x + ... + x^(2h) for every h: 2.9-4.2 s at
+# h_bound 300, 3.0-4.5 s at 320 and 5.2 s at 340.
+MAX_THEOREM8_H = 300
+
+
 def verify_theorem8(h_bound):
     """All h <= h_bound for which every prime factor of
     1 + x + ... + x^(2h) has a special form; classically {1, 2, 3}."""
     if h_bound < 3:
         raise ValueError('h_bound must be >= 3')
+    if h_bound > MAX_THEOREM8_H:
+        raise ValueError(f'h_bound must be <= {MAX_THEOREM8_H}')
     out = []
     for h in range(1, h_bound + 1):
         fac = factorize(_ones(2 * h))

@@ -5,8 +5,12 @@ the production path assembles it from the factorization: sigma(P^n) per
 prime power as the geometric series (P^(n+1) + 1) / (P + 1), multiplied
 out.
 
-Characteristic-2 prime-power identities, each tested against that path
-(sigma_table builds on the recurrence):
+The bulk tables sigma_table (sigma(a) for every a up to a degree) and
+sigma_square_table (sigma(B^2) for every B coprime to x) share one
+round loop over the odd-only smallest-factor sieve, built on the
+recurrence below with P or P^2 as the step.
+
+Characteristic-2 prime-power identities, each tested against that path:
 
 - Mersenne exponents:  1 + P + ... + P^(2^s - 1) = (P+1)^(2^s - 1)
 - splitting, n+1 = 2^s * u with u odd:
@@ -75,7 +79,7 @@ def parity(a):
     return Parity.ODD
 
 
-# Entries per block of a round's odd half.  Every temporary of a round is
+# Entries per block of a round.  Every temporary of a round is
 # block-sized, so the working set is the tables plus a few fixed buffers
 # whatever max_deg is.
 _BLOCK = 1 << 15
@@ -84,65 +88,111 @@ _BLOCK = 1 << 15
 def sigma_table(max_deg):
     """sigma(a) for every a of degree <= max_deg, as a uint32 array.
 
-    Entry a holds sigma(a); entry 0 is unused.  With p = spf(a) and
-    b = a // p, sigma(a) = (p+1) sigma(b), plus p sigma(b // p) when p
-    also divides b: the three-term recurrence times the sigma of the
-    cofactor coprime to p.  One round per degree d fills the slice
-    [2^d, 2^(d+1)); b and b // p have lower degree than a, so a round
-    reads only finished slices.  The even entries have p = x and
-    b = a >> 1, so they are done by slicing; the odd half gathers
-    through the odd-only sieve in blocks of _BLOCK entries that reuse
-    the same buffers.  Entries must fit in uint32, so max_deg <= 31.
+    Entry a holds sigma(a); entry 0 is unused.  The odd entries come
+    from _odd_rounds in a contiguous array of their own, so the sieve is
+    freed before this table is allocated.  An even a has p = x and
+    b = a >> 1, so sigma(a) = (x+1) sigma(b), plus x sigma(a >> 2) when
+    4 | a; one slice per degree d fills them, reading degrees d-1 and
+    d-2 only.  Entries must fit in uint32, so max_deg <= 31.
     """
     import numpy as np
 
-    spf, quot = smallest_factor_tables(max_deg)
-    sig = np.zeros(2 * len(spf), dtype=np.uint32)
-    sig[1] = 1
-    n = min(_BLOCK, len(spf))
-    s_buf, b_buf, m_buf, t_buf = (np.empty(n, dtype=np.uint32)
-                                  for _ in range(4))
+    # entry 2i+1 is odd[i]; every even entry above 0 is overwritten below
+    sig = np.repeat(_odd_rounds(max_deg, square=False), 2)
+    sig[0] = 0
     for d in range(1, max_deg + 1):
         lo, hi = 1 << d, 2 << d
-        # a = 2b: (x+1) sigma(b), plus x sigma(a >> 2) where 4 | a (for
-        # d = 1 that term reads sig[0] = 0)
+        # for d = 1 the x sigma(a >> 2) term reads sig[0] = 0
         half = sig[lo >> 1:hi >> 1]
         ev = sig[lo:hi:2]
         np.left_shift(half, 1, out=ev)
         ev ^= half
         ev[::2] ^= sig[lo >> 2:hi >> 2] << 1
-        # odd a = 2i+1 for i in [lo/2, hi/2)
-        for i in range(lo >> 1, hi >> 1, n):
-            j = min(i + n, hi >> 1)
-            k = j - i
-            p = spf[i:j]
-            b = quot[i:j]
-            odd = sig[2 * i + 1:2 * j:2]
-            s = np.bitwise_xor(p, 1, out=s_buf[:k])
-            sb = np.take(sig, b, out=b_buf[:k])
-            # deg(s) + deg(sig[b]) = d, so the smaller has degree <= d/2;
-            # the larger is s ^ sb ^ min
-            mn = np.minimum(s, sb, out=m_buf[:k])
-            s ^= sb
-            s ^= mn
-            _clmul(mn, s, odd, t_buf[:k])
-            # where p also divides b (never for b = 1, since spf[0] = 0);
-            # then p^2 divides a, so deg(p) <= d/2
-            half_b = np.right_shift(b, 1, out=b_buf[:k])
-            ext = np.flatnonzero(np.take(spf, half_b, out=s_buf[:k]) == p)
-            e = ext.size
-            c = np.take(sig, quot[half_b[ext]], out=m_buf[:e])
-            odd[ext] ^= _clmul(p[ext], c, s_buf[:e], t_buf[:e])
     return sig
 
 
+def sigma_square_table(max_deg):
+    """sigma(B^2) for every B coprime to x of degree <= max_deg.
+
+    A uint64 array whose entry i holds sigma(B^2) for B = 2i+1, so
+    entry 0 is sigma(1) = 1.  Entries have degree 2 max_deg, so
+    max_deg <= 31.
+    """
+    return _odd_rounds(max_deg, square=True)
+
+
+def _odd_rounds(max_deg, square):
+    """t[i] = f(2i+1) for i < 2^max_deg, f = sigma or B -> sigma(B^2).
+
+    With p = spf(a) and b = a // p, let q = p and f(p) = 1 + p for
+    sigma, or q = p^2 and f(p) = 1 + p + p^2 for squares.  Then f(a) =
+    f(p) f(b), plus c f(b) + q f(b // p) where p also divides b, with
+    c = f(p) + 1 + q: 0 for sigma, p for squares.  That is the
+    three-term recurrence sigma(P^(e+1)) = (P+1) sigma(P^e) +
+    P sigma(P^(e-1)), with q in place of P, times the f of the cofactor
+    coprime to p.  Where p divides b, the rounds compute that sum as
+    f(b) + q (f(b) + f(b // p)).  One round per degree d fills the a of
+    degree d; b and b // p are odd and of lower degree, so a round
+    reads only finished entries.  Each round gathers through the
+    odd-only sieve in blocks of _BLOCK entries that reuse the same
+    buffers.
+    """
+    import numpy as np
+
+    spf, quot = smallest_factor_tables(max_deg)
+    # f(1) = 1; the rounds fill the rest
+    t = np.ones(len(spf), dtype=np.uint64 if square else np.uint32)
+    n = min(_BLOCK, len(spf))
+    s_buf, v_buf, m_buf, w_buf = (np.empty(n, t.dtype) for _ in range(4))
+    h_buf, g_buf = (np.empty(n, dtype=np.uint32) for _ in range(2))
+    for d in range(1, max_deg + 1):
+        # odd a = 2i+1 of degree d, for i in [2^(d-1), 2^d)
+        for i in range(1 << (d - 1), 1 << d, n):
+            j = min(i + n, 1 << d)
+            k = j - i
+            p = spf[i:j]
+            h = np.right_shift(quot[i:j], 1, out=h_buf[:k])  # b = 2h+1
+            s = np.bitwise_xor(p, 1, out=s_buf[:k])
+            if square:
+                s ^= _spread(p)
+            fb = np.take(t, h, out=v_buf[:k])
+            # deg f(p) + deg f(b) = deg f(a), so the smaller has at most
+            # half that degree
+            mn = np.minimum(s, fb, out=m_buf[:k])
+            np.maximum(s, fb, out=s)
+            out = _clmul(mn, s, t[i:j], w_buf[:k])
+            # where p also divides b (never for b = 1, since spf[0] = 0);
+            # then p^2 divides a, so q has at most half the degree of f(a)
+            ext = np.flatnonzero(np.take(spf, h, out=g_buf[:k]) == p)
+            e = ext.size
+            q = _spread(p[ext]) if square else p[ext]
+            fe = fb[ext]
+            g = np.take(t, quot[h[ext]] >> 1, out=m_buf[:e])  # f(b // p)
+            g ^= fe
+            out[ext] = _clmul(q, g, s_buf[:e], w_buf[:e]) ^ fe
+    return t
+
+
+def _spread(x):
+    """Squares of the polynomials in x (below 2^32), as uint64.
+
+    Bit i moves to bit 2i, in five shift-and-mask steps; the mask for a
+    shift s keeps alternate runs of s bits, (2^64 - 1) / (2^s + 1).
+    """
+    x = x.astype('uint64')
+    for s in (16, 8, 4, 2, 1):
+        x = (x | x << s) & (2**64 - 1) // (2**s + 1)
+    return x
+
+
 def _clmul(x, y, out, t):
-    """Elementwise carryless product of uint32 arrays x, y into out.
+    """Elementwise carryless product of unsigned arrays x, y into out.
 
     One pass per bit of the largest x, so callers pass as x an operand
-    of degree at most d/2: (x & 2^i) * y is y << i when bit i of x is
-    set and 0 otherwise.  t is a scratch buffer of the same length;
-    products must fit in 32 bits.  Returns out.
+    of degree at most half the product's: (x & 2^i) * y is y << i when
+    bit i of x is set and 0 otherwise.  t is a scratch buffer of the
+    same length; out and t have the dtype of y (uint32 or uint64) and
+    products must fit in it.  Returns out.
     """
     import numpy as np
 

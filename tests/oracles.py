@@ -1,7 +1,8 @@
 """Reference implementations for cross-checking.
 
 Everything here except sqrt_bitloop, sigma_naive, sigma_table_list,
-smallest_factor_tables_marking and the two shape searches works on
+smallest_factor_tables_marking, the two shape searches and
+odd_square_search_factoring works on
 coefficient lists (index i = coefficient of x^i) with schoolbook
 algorithms, deliberately sharing no code with the bit-packed production
 path.  sqrt_bitloop is the bit-at-a-time loop that production sqrt's
@@ -23,13 +24,23 @@ the production sigma-closure search, which never enumerates P and Q
 and instead decides the primes that the decided sigma(p^e) need.  They
 return (examined, pruned, hits) with hits as (A, h, k, l, m, P, Q);
 the pruned tallies check shape_search's closed-form count.
+odd_square_search_factoring is the per-B loop that the sigma(B^2) table
+replaced: it factors each squarefree B coprime to x^2+x and assembles
+sigma(B^2) from that factorization, so it checks the table's rounds
+and fixed-point scan on the squarefree B, sharing only the production
+factorize and sigma assembly.
 """
 
 from gf2perfect.factor import (
     _irreducibles_up_to, factorize, irreducibles_up_to,
 )
-from gf2perfect.gf2poly import X1, degree, mul, pow_, translate
-from gf2perfect.perfect import _classify_pattern
+from gf2perfect.gf2poly import (
+    X1, degree, derivative, gcd, mul, pow_, square, translate,
+)
+from gf2perfect.perfect import (
+    MAX_ODD_SQUARE_DEG, SearchReport, _classify_pattern, is_perfect,
+)
+from gf2perfect.sigma import Parity, parity, sigma_of_factorization
 
 
 def to_coeffs(p):
@@ -342,3 +353,32 @@ def shape_search_pinned(deg_bound, p_deg_bound, use_pruning):
                         if mul(ones[h], mul(sig_x1[k], spq)) == a:
                             hits.append((a, h, k, l, m, p, q))
     return examined, pruned, hits
+
+
+def odd_square_search_factoring(max_deg):
+    """Look for odd perfect A = B^2 with B squarefree, deg(A) <= max_deg.
+
+    B runs over squarefree polynomials coprime to x^2+x; the test is
+    sigma(B^2) = B^2 assembled from the factorization of B.
+    """
+    if max_deg % 2 != 0:
+        raise ValueError('max_deg must be even (candidates are squares)')
+    if not 2 <= max_deg <= MAX_ODD_SQUARE_DEG:
+        raise ValueError(f'max_deg must be in 2..{MAX_ODD_SQUARE_DEG}')
+    examined = 0
+    certs = []
+    for b in range(3, 1 << (max_deg // 2 + 1), 2):
+        if parity(b) is Parity.EVEN or gcd(b, derivative(b)) != 1:
+            continue  # not odd, or not squarefree
+        examined += 1
+        a = square(b)
+        if sigma_of_factorization((p, 2) for p in factorize(b).primes()) == a:
+            certs.append(is_perfect(a))
+    return SearchReport(
+        kind='odd-square',
+        degree_bound=max_deg,
+        config={'max_deg': max_deg},
+        candidates_examined=examined,
+        shapes_pruned={},
+        perfects_found=certs,
+    )

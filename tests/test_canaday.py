@@ -1,9 +1,9 @@
 import pytest
 
 from gf2perfect.canaday import (
-    SpecialForm, is_complete, special_form, verify_lemma1_iv, verify_lemma4,
-    verify_lemma5, verify_lemma6, verify_minimal_prime_parity,
-    verify_theorem8,
+    MAX_EVEN_POWERS_N, MAX_LEMMA4_BOUND, SpecialForm, is_complete,
+    special_form, verify_lemma1_iv, verify_lemma4, verify_lemma5,
+    verify_lemma6, verify_minimal_prime_parity, verify_theorem8,
 )
 from gf2perfect.factor import factorize
 from gf2perfect.gf2poly import parse, reverse
@@ -64,6 +64,13 @@ def test_lemma5_no_proper_perfect_powers():
 def test_lemma6_degree_inequalities():
     assert verify_lemma6(6, 4) == []
     assert verify_lemma6(4, 3) == []
+
+
+def test_lemma_bounds_at_their_caps_are_accepted():
+    # the cheap corners: k stops below h, and few primes have degree <= 2
+    assert verify_lemma4(4, MAX_LEMMA4_BOUND) == [(4, 1, 0b111, 0b1001001)]
+    assert verify_lemma5(2, MAX_EVEN_POWERS_N) == []
+    assert verify_lemma6(2, MAX_EVEN_POWERS_N) == []
 
 
 def test_theorem8_solution_set():

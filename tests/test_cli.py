@@ -167,7 +167,7 @@ def test_usage_errors_exit_2(capsys):
 @pytest.mark.parametrize('argv', [
     ('search', '--max-deg', '25'),
     ('search', '--max-deg', '64'),
-    ('odd-square-search', '--max-deg', '42'),
+    ('odd-square-search', '--max-deg', '50'),
     ('odd-square-search', '--max-deg', '0'),
     ('odd-square-search', '--max-deg', '-2'),
     ('certify', 'x^99999999999'),
@@ -182,6 +182,15 @@ def test_usage_errors_exit_2(capsys):
     ('verify-lemma', '6', '--p-deg-bound', '20'),
     ('shape-search', '--deg-bound', '301', '--p-deg-bound', '8'),
     ('shape-search', '--deg-bound', '100000', '--p-deg-bound', '8'),
+    ('verify-lemma', '1iv', '--max-deg', '451'),
+    ('verify-lemma', '4', '--h-bound', '351'),
+    ('verify-lemma', '4', '--k-bound', '351'),
+    ('verify-lemma', '4', '--h-bound', '2000', '--k-bound', '2000'),
+    ('verify-lemma', '5', '--n-bound', '6'),
+    ('verify-lemma', '5', '--n-bound', '100'),
+    ('verify-lemma', '6', '--n-bound', '6'),
+    ('verify-lemma', '8', '--h-bound', '301'),
+    ('verify-lemma', '8', '--h-bound', '400'),
 ])
 def test_oversize_bounds_exit_2(capsys, argv):
     # every value here is rejected before any allocation

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gf2perfect import perfect
 from gf2perfect.canaday import verify_minimal_prime_parity
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import (
@@ -14,7 +15,9 @@ from gf2perfect.perfect import (
     trivial_perfect,
 )
 from gf2perfect.sigma import Parity, sigma, sigma_prime_power
-from oracles import shape_search_grid, shape_search_pinned
+from oracles import (
+    odd_square_search_factoring, shape_search_grid, shape_search_pinned,
+)
 
 
 def test_named_catalog_entries():
@@ -262,6 +265,34 @@ def test_odd_square_search_empty_and_rejections():
     assert sigma(square(0b111)) == 0b10011
     with pytest.raises(ValueError):
         odd_square_search(7)
+
+
+def test_odd_square_search_matches_factoring_oracle():
+    for max_deg in range(2, 29, 2):
+        report = odd_square_search(max_deg)
+        oracle = odd_square_search_factoring(max_deg)
+        assert report.found_polys() == oracle.found_polys()
+        # the table examines every B != 1 coprime to x, the oracle only
+        # the squarefree ones coprime to x^2+x
+        assert report.candidates_examined == (1 << max_deg // 2) - 1
+        assert oracle.candidates_examined <= report.candidates_examined
+
+
+def test_odd_square_search_reports_each_fixed_point(monkeypatch):
+    # no odd perfect polynomial is in range, so plant a fixed point at
+    # B = x^3+x+1 (entry 5); B = 1, the trivial one, is not reported
+    table = perfect.sigma_square_table(4)
+    table[5] = square(11)
+    monkeypatch.setattr(perfect, 'sigma_square_table', lambda d: table)
+    report = odd_square_search(8)
+    assert report.found_polys() == [square(11)]
+    assert not report.perfects_found[0].is_perfect
+
+
+def test_odd_square_search_degree_40():
+    report = odd_square_search(40)
+    assert report.found_polys() == []
+    assert report.candidates_examined == (1 << 20) - 1
 
 
 def test_report_serialization(shape24_pruned):

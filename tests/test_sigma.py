@@ -5,9 +5,10 @@ import pytest
 
 import gf2perfect.sigma as sigma_module
 from gf2perfect.factor import irreducibles_up_to
-from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_
+from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_, square
 from gf2perfect.sigma import (
-    Parity, omega, parity, sigma, sigma_prime_power, sigma_table,
+    Parity, omega, parity, sigma, sigma_prime_power, sigma_square_table,
+    sigma_table,
 )
 from oracles import sigma_bruteforce, sigma_naive, sigma_table_list
 
@@ -157,17 +158,35 @@ def test_sigma_table_matches_list_oracle():
         assert table[1:].tolist() == sigma_table_list(d)[1:]
 
 
+def sigma_squares(max_deg):
+    # sigma(B^2) for B = 1, 3, 5, ... of degree <= max_deg, one at a time
+    return [sigma(square(b)) for b in range(1, 2 << max_deg, 2)]
+
+
+def test_sigma_square_table_matches_sigma_of_square():
+    # every B coprime to x, squarefree or not, and B = 1
+    table = sigma_square_table(12)
+    assert table.dtype == 'uint64'
+    assert table.tolist() == sigma_squares(12)
+    # B = x^2+1 = (x+1)^2 is not squarefree
+    assert table[0b101 >> 1] == sigma_prime_power(X1, 4)
+
+
 def test_sigma_table_multi_block_rounds(monkeypatch):
     # with the default block a round's odd half spans several blocks
     # only from degree 17 up
     monkeypatch.setattr(sigma_module, '_BLOCK', 8)
+    squares = sigma_squares(12)
     for d in range(1, 13):
         assert sigma_table(d)[1:].tolist() == sigma_table_list(d)[1:]
+        assert sigma_square_table(d).tolist() == squares[:1 << d]
 
 
 def test_sigma_table_memory_is_tables_plus_fixed_buffers():
-    # the sieve's two odd-only tables are as large as the result, so the
-    # floor is 2x; round-sized temporaries would push the peak past 3x
+    # the odd rounds hold the sieve's two odd-only tables (together as
+    # large as the result) and the odd half (half of it), and the sieve
+    # is freed before the result is allocated; round-sized temporaries,
+    # or a sieve alive beside the result, would push the peak past 2.25x
     sigma_table(16)  # a first call makes one-off allocations; keep them out
     tracemalloc.start()
     try:
@@ -175,7 +194,7 @@ def test_sigma_table_memory_is_tables_plus_fixed_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.nbytes
+    assert peak <= 2.25 * table.nbytes
 
 
 def test_sigma_naive_agrees_with_trial_division_walk():
