@@ -14,7 +14,10 @@ verifier with its default bounds and that classical solution set.
 from dataclasses import dataclass
 from typing import Callable
 
-from .factor import factorize, irreducibles_up_to, is_irreducible
+from .factor import (
+    MAX_IRREDUCIBLES_DEG, factorize, irreducible_counts, irreducibles_up_to,
+    is_irreducible,
+)
 from .gf2poly import (
     X1, degree, divrem, is_self_inverse, pow_, to_hex, translate,
 )
@@ -149,22 +152,36 @@ def verify_lemma6(p_deg_bound, n_bound):
     return violations
 
 
-# Every prime up to the bound has sigma(P^(2n)) factored, which about
-# doubles the cost per degree: on a 2-CPU Xeon VM the CLI at the default
-# --n-bound 4 takes 0.3 s at 10, 2.2-2.9 s at 13 and 4.2-5.1 s at 14.
-# The two costs multiply; at p_deg_bound 13 lemmas 5 and 6 take
-# 4.3-5.7 s at n_bound 5 and 7.5 s at 6.
-MAX_EVEN_POWERS_P_DEG = 13
-MAX_EVEN_POWERS_N = 5
+def _even_powers_work(p_deg_bound, n_bound):
+    """Cost model of lemmas 5 and 6: the sum of deg(sigma(P^(2n)))^2
+    over the primes P of degree <= p_deg_bound and n <= n_bound."""
+    squares = n_bound * (n_bound + 1) * (2 * n_bound + 1) // 6
+    return sum(count * 4 * d * d * squares
+               for d, count in irreducible_counts(p_deg_bound).items())
+
+
+# Lemmas 5 and 6 factor sigma(P^(2n)), of degree 2n deg(P), for every
+# prime up to the degree bound, and the factoring cost grows about as
+# the square of the degree, so one cap bounds _even_powers_work and the
+# two bounds trade against each other.  In-process on a 2-CPU Xeon VM a
+# unit costs 20-45 ns once the work passes 5 million, up to 70 ns when
+# it is spread over many small primes.  The CLI at the corners of the
+# cap: p_deg_bound 13 and n_bound 5 (43 million) 2.0 s, 14 and 4 (51
+# million) 2.3 s, 15 and 3 (51 million) 3.0 s, 18 and 1 (36 million)
+# 2.5 s, 6 and 43 (60 million) 1.6 s, 2 and 195 (60 million) 1.1 s.
+# The defaults 6 and 4 are 66 thousand; 6 and 100 would be 740 million.
+MAX_EVEN_POWERS_WORK = 60_000_000
 
 
 def _sigma_even_powers(p_deg_bound, n_bound):
     if p_deg_bound < 1 or n_bound < 1:
         raise ValueError('bounds must be >= 1')
-    if p_deg_bound > MAX_EVEN_POWERS_P_DEG:
-        raise ValueError(f'p_deg_bound must be <= {MAX_EVEN_POWERS_P_DEG}')
-    if n_bound > MAX_EVEN_POWERS_N:
-        raise ValueError(f'n_bound must be <= {MAX_EVEN_POWERS_N}')
+    if p_deg_bound > MAX_IRREDUCIBLES_DEG:
+        raise ValueError(f'p_deg_bound must be <= {MAX_IRREDUCIBLES_DEG}')
+    if _even_powers_work(p_deg_bound, n_bound) > MAX_EVEN_POWERS_WORK:
+        raise ValueError(
+            'bounds too large: sum of deg(sigma(P^(2n)))^2 over the primes '
+            f'and exponents must be <= {MAX_EVEN_POWERS_WORK}')
     return ((p, n, factorize(sigma_prime_power(p, 2 * n)))
             for p in irreducibles_up_to(p_deg_bound)
             for n in range(1, n_bound + 1))
@@ -179,8 +196,10 @@ def _root_of(fac, g):
     return root
 
 
-# Theorem 8 factors 1 + x + ... + x^(2h) for every h: 2.9-4.2 s at
-# h_bound 300, 3.0-4.5 s at 320 and 5.2 s at 340.
+# Theorem 8 factors 1 + x + ... + x^(2h) for every h, up to degree 600:
+# the CLI takes 0.4-0.5 s at h_bound 300 and 2.5 s at 600 on a 2-CPU
+# Xeon VM.  The cap stays at the bound the tests pin as the largest
+# accepted value.
 MAX_THEOREM8_H = 300
 
 

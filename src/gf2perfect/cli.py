@@ -3,9 +3,8 @@
 Subcommands cover arithmetic (factor, sigma), certification (certify,
 catalog), the searches (search, shape-search, odd-square-search) and
 the lemma verifiers (verify-lemma).  Output is either human-readable
-text or a JSON document; identical arguments and seed produce
-byte-identical JSON.  Searches always print one deterministic summary
-line first.
+text or a JSON document; identical arguments produce byte-identical
+JSON.  Searches always print one deterministic summary line first.
 
 Exit codes: 0 on success, 1 when a verifier found a violation, 2 on
 usage errors (bad bounds, malformed polynomials).
@@ -27,7 +26,7 @@ def _emit(payload, ns):
 
 
 def _cmd_factor(ns):
-    fac = factorize(ns.poly, seed=ns.seed)
+    fac = factorize(ns.poly)
     if ns.format == 'text':
         parts = [f'({to_text(q)})' + (f'^{e}' if e > 1 else '')
                  for q, e in fac]
@@ -37,7 +36,7 @@ def _cmd_factor(ns):
 
 
 def _cmd_sigma(ns):
-    s = sigma(ns.poly, seed=ns.seed)
+    s = sigma(ns.poly)
     if ns.format == 'text':
         print(to_text(s))
     _emit({'input_hex': to_hex(ns.poly), 'input_text': to_text(ns.poly),
@@ -46,7 +45,7 @@ def _cmd_sigma(ns):
 
 
 def _cmd_certify(ns):
-    cert = perfect.is_perfect(ns.poly, seed=ns.seed)
+    cert = perfect.is_perfect(ns.poly)
     if ns.format == 'text':
         verdict = 'perfect' if cert.is_perfect else 'not perfect'
         print(f'{to_text(ns.poly)}: {verdict} '
@@ -101,7 +100,7 @@ def _cmd_verify_lemma(ns):
             print('error: verify-lemma parity requires a polynomial argument',
                   file=sys.stderr)
             return 2
-        cert = perfect.is_perfect(ns.poly, seed=ns.seed)
+        cert = perfect.is_perfect(ns.poly)
         even = canaday.verify_minimal_prime_parity(ns.poly)
         ok = cert.is_perfect and even
         record = {'lemma': 'parity', 'poly_hex': to_hex(ns.poly),
@@ -140,7 +139,8 @@ def _add_global_options(p, top_level):
                    default=default('text'),
                    help='output format (default: text)')
     p.add_argument('--seed', type=int, default=default(None),
-                   help='seed for the factorization splitting step')
+                   help='accepted for compatibility; has no effect, since '
+                        'factorization is deterministic')
 
 
 def build_parser():

@@ -24,7 +24,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .factor import MAX_IRREDUCIBLES_DEG, Factorization, factorize
+from .factor import (
+    MAX_IRREDUCIBLES_DEG, Factorization, factorize, irreducible_counts,
+)
 from .gf2poly import (
     X, X1, degree, mul, pow_, square, to_hex, to_text, translate,
 )
@@ -130,11 +132,11 @@ class SearchReport:
         return d
 
 
-def is_perfect(a, seed=None):
+def is_perfect(a):
     """Certify whether sigma(a) = a, for nonzero a."""
     if a == 0:
         raise ValueError('perfection of the zero polynomial is undefined')
-    fac = factorize(a, seed=seed)
+    fac = factorize(a)
     return PerfectCertificate(
         poly=a,
         factorization=fac,
@@ -329,14 +331,9 @@ def _pruned_tally(deg_bound, p_deg_bound):
 
     For odd primes of degrees a <= b, a rejected pattern (l, m) with
     l a + m b <= deg_bound - 2 covers the h, k >= 1 with h + k <=
-    deg_bound - l a - m b, once per pair P < Q of those degrees.  The
-    number N(d) of irreducibles of degree d follows from
-    sum_{e | d} e N(e) = 2^d.
+    deg_bound - l a - m b, once per pair P < Q of those degrees.
     """
-    counts = {}
-    for d in range(1, p_deg_bound + 1):
-        counts[d] = ((1 << d) - sum(e * n for e, n in counts.items()
-                                    if d % e == 0)) // d
+    counts = irreducible_counts(p_deg_bound)
     pruned = {'lemma10': 0, 'lemma11': 0}
     for a, b in combinations_with_replacement(range(2, p_deg_bound + 1), 2):
         pairs = counts[a] * counts[b] if a < b else comb(counts[a], 2)

@@ -46,9 +46,9 @@ def sigma_prime_power(p, n):
     return divexact(pow_(p, n + 1) ^ 1, p ^ 1)
 
 
-def sigma(a, seed=None):
+def sigma(a):
     """sigma assembled multiplicatively over the factorization of a != 0."""
-    return sigma_of_factorization(factorize(a, seed=seed))
+    return sigma_of_factorization(factorize(a))
 
 
 def sigma_of_factorization(fac):

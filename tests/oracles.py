@@ -28,14 +28,21 @@ odd_square_search_factoring is the per-B loop that the sigma(B^2) table
 replaced: it factors each squarefree B coprime to x^2+x and assembles
 sigma(B^2) from that factorization, so it checks the table's rounds
 and fixed-point scan on the squarefree B, sharing only the production
-factorize and sigma assembly.
+factorize and sigma assembly.  factorize_ddf_edf is the distinct-degree
+and trace-based equal-degree splitting (with a seeded random split)
+that Berlekamp's algorithm replaced on the general factoring path; it
+shares only the gf2poly kernels with it, so it checks the kernel
+elimination and the splitting.
 """
+
+import random
 
 from gf2perfect.factor import (
     _irreducibles_up_to, factorize, irreducibles_up_to,
 )
 from gf2perfect.gf2poly import (
-    X1, degree, derivative, gcd, mul, pow_, square, translate,
+    X, X1, degree, derivative, divexact, gcd, mul, pow_, rem, sqrt, square,
+    translate,
 )
 from gf2perfect.perfect import (
     MAX_ODD_SQUARE_DEG, SearchReport, _classify_pattern, is_perfect,
@@ -132,6 +139,60 @@ def irreducibles_bruteforce(max_deg):
             if r.bit_length() - 1 <= max_deg:
                 composite.add(r)
     return [p for p in range(2, 1 << (max_deg + 1)) if p not in composite]
+
+
+def factorize_ddf_edf(p, seed=0x5EED):
+    """Factor tuple of a nonzero p: squarefree layers, then DDF and EDF."""
+    counts = {}
+    rng = random.Random(seed)
+    mult = 1
+    while degree(p) >= 1:
+        d = derivative(p)
+        if d == 0:
+            p = sqrt(p)
+            mult *= 2
+            continue
+        g = gcd(p, d)
+        for q in _factor_squarefree(divexact(p, g), rng):
+            counts[q] = counts.get(q, 0) + mult
+        p = g
+    return tuple(sorted(counts.items()))
+
+
+def _factor_squarefree(w, rng):
+    """Split a squarefree w into irreducibles (distinct-degree first)."""
+    out = []
+    h = X
+    d = 1
+    while 2 * d <= degree(w):
+        h = rem(square(h), w)  # h = x^(2^d) mod w
+        g = gcd(h ^ X, w)
+        if g != 1:
+            out.extend(_split_equal_degree(g, d, rng))
+            w = divexact(w, g)
+            h = rem(h, w)
+        d += 1
+    if degree(w) >= 1:
+        out.append(w)
+    return out
+
+
+def _split_equal_degree(g, d, rng):
+    """Split a product of distinct degree-d irreducibles via the trace map."""
+    if degree(g) == d:
+        return [g]
+    while True:
+        u = rng.randrange(1, 1 << degree(g))
+        # trace u + u^2 + u^4 + ... + u^(2^(d-1)) lands in GF(2) on each factor
+        t = u
+        v = u
+        for _ in range(d - 1):
+            v = rem(square(v), g)
+            t ^= v
+        s = gcd(t, g)
+        if 0 < degree(s) < degree(g):
+            return (_split_equal_degree(s, d, rng)
+                    + _split_equal_degree(divexact(g, s), d, rng))
 
 
 def sigma_naive(a):

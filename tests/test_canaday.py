@@ -1,9 +1,10 @@
 import pytest
 
 from gf2perfect.canaday import (
-    MAX_EVEN_POWERS_N, MAX_LEMMA4_BOUND, SpecialForm, is_complete,
-    special_form, verify_lemma1_iv, verify_lemma4, verify_lemma5,
-    verify_lemma6, verify_minimal_prime_parity, verify_theorem8,
+    MAX_EVEN_POWERS_WORK, MAX_LEMMA4_BOUND, SpecialForm, _even_powers_work,
+    is_complete, special_form, verify_lemma1_iv, verify_lemma4,
+    verify_lemma5, verify_lemma6, verify_minimal_prime_parity,
+    verify_theorem8,
 )
 from gf2perfect.factor import factorize
 from gf2perfect.gf2poly import parse, reverse
@@ -69,8 +70,27 @@ def test_lemma6_degree_inequalities():
 def test_lemma_bounds_at_their_caps_are_accepted():
     # the cheap corners: k stops below h, and few primes have degree <= 2
     assert verify_lemma4(4, MAX_LEMMA4_BOUND) == [(4, 1, 0b111, 0b1001001)]
-    assert verify_lemma5(2, MAX_EVEN_POWERS_N) == []
-    assert verify_lemma6(2, MAX_EVEN_POWERS_N) == []
+    # lemmas 5 and 6 cap the combined work, so a small prime degree
+    # leaves room for a large n_bound
+    assert _even_powers_work(6, 20) <= MAX_EVEN_POWERS_WORK
+    assert verify_lemma5(6, 20) == []
+    assert verify_lemma6(6, 20) == []
+
+
+def test_even_powers_work_cap():
+    # N(1..3) = 2, 1, 2 primes; deg(sigma(P^(2n))) = 2n deg(P)
+    assert _even_powers_work(3, 1) == 2 * 4 + 1 * 16 + 2 * 36
+    assert _even_powers_work(3, 2) == 5 * _even_powers_work(3, 1)
+    for p_deg_bound, n_bound in ((13, 5), (14, 4), (15, 3), (6, 43)):
+        assert _even_powers_work(p_deg_bound, n_bound) <= MAX_EVEN_POWERS_WORK
+    for p_deg_bound, n_bound in ((13, 6), (14, 5), (15, 4), (6, 44), (6, 100),
+                                 (20, 1)):
+        assert _even_powers_work(p_deg_bound, n_bound) > MAX_EVEN_POWERS_WORK
+        for verify in (verify_lemma5, verify_lemma6):
+            with pytest.raises(ValueError, match='bounds too large'):
+                verify(p_deg_bound, n_bound)
+    with pytest.raises(ValueError, match='p_deg_bound must be <= 20'):
+        verify_lemma5(21, 1)
 
 
 def test_theorem8_solution_set():

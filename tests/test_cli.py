@@ -186,9 +186,9 @@ def test_usage_errors_exit_2(capsys):
     ('verify-lemma', '4', '--h-bound', '351'),
     ('verify-lemma', '4', '--k-bound', '351'),
     ('verify-lemma', '4', '--h-bound', '2000', '--k-bound', '2000'),
-    ('verify-lemma', '5', '--n-bound', '6'),
+    ('verify-lemma', '5', '--p-deg-bound', '13', '--n-bound', '6'),
     ('verify-lemma', '5', '--n-bound', '100'),
-    ('verify-lemma', '6', '--n-bound', '6'),
+    ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '6'),
     ('verify-lemma', '8', '--h-bound', '301'),
     ('verify-lemma', '8', '--h-bound', '400'),
 ])

@@ -6,13 +6,17 @@ from pathlib import Path
 import pytest
 
 from gf2perfect.factor import (
-    _factor_general, _irreducibles_up_to, factorize, irreducibles_up_to,
-    is_irreducible, smallest_factor_tables, squarefree_part,
+    _berlekamp, _berlekamp_kernel, _factor_general, _factor_trial,
+    _irreducibles_up_to, factorize, irreducibles_up_to, is_irreducible,
+    smallest_factor_tables, squarefree_part,
 )
 from gf2perfect.gf2poly import (
-    degree, derivative, gcd, mul, parse, pow_, square,
+    X, X1, degree, derivative, gcd, mul, parse, pow_, rem, square,
 )
-from oracles import irreducibles_bruteforce, smallest_factor_tables_marking
+from oracles import (
+    factorize_ddf_edf, irreducibles_bruteforce,
+    smallest_factor_tables_marking,
+)
 
 
 def test_is_irreducible_examples():
@@ -57,8 +61,74 @@ def test_trial_and_general_paths_agree():
     for _ in range(400):
         p = rng.randrange(2, 1 << 21)        # within the trial-division range
         counts = {}
-        _factor_general(p, 1, counts, random.Random(0))
-        assert tuple(sorted(counts.items())) == factorize(p).factors
+        _factor_general(p, 1, counts)
+        assert counts == _factor_trial(p)
+
+
+def _random_polys(seed, count, lo, hi):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.randrange(lo, hi + 1)
+        out.append((1 << d) | rng.getrandbits(d))
+    return out
+
+
+def _structured_polys():
+    out = [(1 << n) | 1 for n in range(1, 301)]             # x^n + 1
+    out += [(1 << (2 * h + 1)) - 1 for h in range(1, 200)]  # 1 + ... + x^2h
+    irr = _irreducibles_up_to(8)
+    for d in range(2, 9):
+        # all irreducibles of degree d at once: up to 30 equal-degree primes
+        p = 1
+        for q in irr:
+            if degree(q) == d:
+                p = mul(p, q)
+        out.append(p)
+    for p in _random_polys(14, 40, 8, 40):
+        out.append(mul(p, pow_(X, 7)))
+        out.append(mul(p, pow_(X1, 12)))
+        out.append(mul(pow_(p, 3), mul(pow_(X, 2), pow_(X1, 5))))
+    return out
+
+
+# irreducible trinomial and pentanomial of degree >= 64: a single prime
+# makes the kernel the constants alone (k = 1)
+BIG_PRIMES = [parse('x^64+x^4+x^3+x+1'), parse('x^127+x+1')]
+
+
+def test_general_path_matches_ddf_edf_oracle_on_random_inputs():
+    for p in _random_polys(15, 600, 21, 200):
+        assert factorize(p).factors == factorize_ddf_edf(p)
+
+
+def test_general_path_matches_ddf_edf_oracle_on_structured_inputs():
+    for p in _structured_polys() + BIG_PRIMES:
+        assert factorize(p).factors == factorize_ddf_edf(p)
+
+
+def test_big_primes_have_one_dimensional_kernel():
+    for p in BIG_PRIMES:
+        assert is_irreducible(p)
+        assert _berlekamp_kernel(p) == [1]
+        assert _berlekamp(p) == [p]
+        assert factorize(p).factors == ((p, 1),)
+
+
+def test_kernel_dimension_is_omega_on_squarefree_inputs():
+    polys = _random_polys(16, 300, 2, 160) + _structured_polys()
+    squarefree = [p for p in polys if gcd(p, derivative(p)) == 1]
+    assert len(squarefree) > 200
+    for w in squarefree:
+        kernel = _berlekamp_kernel(w)
+        primes = [q for q, _ in factorize_ddf_edf(w)]
+        assert kernel[0] == 1
+        assert len(kernel) == len(primes)
+        assert sorted(_berlekamp(w)) == primes
+        for v in kernel:
+            # v^2 = v mod w, with v reduced
+            assert degree(v) < degree(w)
+            assert rem(square(v) ^ v, w) == 0
 
 
 def test_irreducibles_small_degrees():
@@ -150,8 +220,9 @@ def test_factorize_matches_sympy():
     sympy = pytest.importorskip('sympy')
     x = sympy.symbols('x')
     rng = random.Random(22)
-    for _ in range(100):
-        p = rng.randrange(2, 1 << 41)
+    polys = [rng.randrange(2, 1 << 41) for _ in range(100)]
+    polys += _random_polys(23, 5, 64, 160)
+    for p in polys:
         coeffs = [(p >> i) & 1 for i in range(p.bit_length() - 1, -1, -1)]
         _, sfac = sympy.Poly(coeffs, x, domain=sympy.GF(2)).factor_list()
         theirs = []

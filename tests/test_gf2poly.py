@@ -202,8 +202,8 @@ def test_divrem_matches_long_division_oracle():
 
 
 def test_reduction_matches_oracles_at_ddf_degrees():
-    # dividends to degree 256 and divisors to 128: the squares the
-    # distinct-degree loop reduces modulo inputs of degree <= 128
+    # dividends to degree 256 and divisors to 128: squares reduced
+    # modulo the inputs of degree <= 128 that the certify path factors
     rng = random.Random(11)
     for _ in range(150):
         p = random_poly(rng, rng.randrange(257))
