@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import canaday, perfect
-from .factor import factorize, irreducibles_up_to
+from .factor import factorize, irreducible_counts, irreducibles_up_to
 from .gf2poly import PolyParseError, degree, parse, to_hex, to_text
 from .sigma import sigma
 
@@ -82,14 +82,13 @@ def _emit_report(report, ns):
 
 def _cmd_irreducibles(ns):
     polys = irreducibles_up_to(ns.max_deg)
-    counts = {}
-    for p in polys:
-        counts[degree(p)] = counts.get(degree(p), 0) + 1
+    # every degree has a prime, so the keys are 1..max_deg
+    counts = irreducible_counts(ns.max_deg)
     if ns.format == 'text':
         for p in polys:
             print(to_text(p))
     _emit({'max_deg': ns.max_deg, 'count': len(polys),
-           'counts_by_degree': {str(d): n for d, n in sorted(counts.items())},
+           'counts_by_degree': {str(d): n for d, n in counts.items()},
            'polys_hex': [to_hex(p) for p in polys]}, ns)
     return 0
 

@@ -1,33 +1,23 @@
 """Irreducibility testing, factorization and enumeration of GF(2) irreducibles.
 
-Inputs of degree at most 12 are factored by trial division against the
-cached table of irreducibles up to degree 10, which is enough to expose
-every composite up to degree 20; larger inputs go through squarefree
-splitting, then Berlekamp's algorithm (Factoring polynomials over
-finite fields, Bell System Tech. J. 46, 1967) on each squarefree layer:
-one GF(2) elimination finds the kernel of Q - I, whose dimension is the
-number of prime factors, and gcds with its basis split the layer.  Both
-paths produce the same canonical Factorization and are tested against
-each other and against the distinct-degree and equal-degree splitting
-kept in the test oracles.
+Every factorization peels squarefree layers, then runs Berlekamp's
+algorithm (Factoring polynomials over finite fields, Bell System Tech.
+J. 46, 1967) on each layer: one GF(2) elimination finds the kernel of
+Q - I, whose dimension is the number of prime factors, and gcds with
+its basis split the layer.  The irreducibility test is the same kernel:
+a squarefree polynomial is prime iff its kernel is one-dimensional.
+The tests check both against trial division, Rabin's criterion and the
+distinct-degree and equal-degree splitting kept in the test oracles.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import (
-    X, X1, degree, derivative, divexact, divrem, gcd, mul, pow_, rem,
-    sqrt, square,
-)
+from .gf2poly import X, X1, degree, derivative, divexact, gcd, mul, pow_, sqrt
 
-# trial division against irreducibles of degree <= _TRIAL_SIEVE_DEG is a
-# complete factorization for inputs of degree <= 2*_TRIAL_SIEVE_DEG, so
-# any _TRIAL_INPUT_DEG up to 20 is exact; it sits at the crossover.  Mean
-# us per random input on a 2-CPU Xeon VM, trial vs Berlekamp: degree 11,
-# 13-16 vs 17-19; 12, 16-18 vs 15-19; 13, 23 vs 21; 16, 47 vs 27; 20,
-# 108 vs 31.
-_TRIAL_SIEVE_DEG = 10
-_TRIAL_INPUT_DEG = 12
+# irreducibles_up_to lists the primes of degree <= _NUMPY_FREE_DEG by
+# testing each candidate, so small bounds never import numpy
+_NUMPY_FREE_DEG = 10
 
 
 @dataclass(frozen=True)
@@ -65,23 +55,10 @@ class Factorization:
         }
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(p):
-    """Rabin's criterion: x^(2^d) == x mod p, plus gcd checks at the
-    maximal proper divisors d/r of d for each prime r dividing d."""
+    """Berlekamp's test: p is prime iff it is squarefree and the kernel
+    of Q - I, whose dimension is the number of its prime factors, is
+    the constants alone."""
     d = degree(p)
     if d < 1:
         raise ValueError('irreducibility is undefined for constants')
@@ -89,13 +66,8 @@ def is_irreducible(p):
         return True
     if p & 1 == 0:  # divisible by x
         return False
-    checkpoints = {d // r for r in _prime_divisors(d)}
-    h = X
-    for i in range(1, d + 1):
-        h = rem(square(h), p)
-        if i in checkpoints and gcd(h ^ X, p) != 1:
-            return False
-    return h == X
+    # gcd(p, p') == 1 iff p is squarefree
+    return gcd(p, derivative(p)) == 1 and len(_berlekamp_kernel(p)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -109,24 +81,26 @@ def _irreducibles_up_to(d):
     return tuple(out)
 
 
-# Above _TRIAL_SIEVE_DEG the primes come from the sieve (0.06 s at degree
-# 20 on a 2-CPU Xeon VM, where the Rabin loop took 20 s), so the cap
-# bounds its 2^d-entry tables and the output: 111,013 primes at 20.
+# Above _NUMPY_FREE_DEG the primes come from the sieve (0.05-0.14 s at
+# degree 20 on a 2-CPU Xeon VM, where testing each candidate takes
+# 6.5 s), so the cap bounds its 2^d-entry tables and the output: 111,013
+# primes at 20.
 MAX_IRREDUCIBLES_DEG = 20
 
 
 def irreducibles_up_to(d):
     """All irreducibles of degree <= d, ascending by (degree, bitmask).
 
-    Up to degree _TRIAL_SIEVE_DEG this is the cached Rabin list, with
-    no numpy import; above it, x and the primes of the odd-only sieve,
-    whose entries with quot == 1 are the odd irreducibles.
+    Up to degree _NUMPY_FREE_DEG this is the cached list of the
+    candidates that pass is_irreducible, with no numpy import; above it,
+    x and the primes of the odd-only sieve, whose entries with quot == 1
+    are the odd irreducibles.
     """
     if d < 1:
         raise ValueError('degree bound must be >= 1')
     if d > MAX_IRREDUCIBLES_DEG:
         raise ValueError(f'degree bound must be <= {MAX_IRREDUCIBLES_DEG}')
-    if d <= _TRIAL_SIEVE_DEG:
+    if d <= _NUMPY_FREE_DEG:
         return list(_irreducibles_up_to(d))
     _, quot = smallest_factor_tables(d)
     return [X] + (2 * (quot == 1).nonzero()[0] + 1).tolist()
@@ -146,31 +120,9 @@ def factorize(p):
     """Complete factorization of a nonzero polynomial."""
     if p == 0:
         raise ValueError('cannot factor the zero polynomial')
-    if p == 1:
-        return Factorization(1, ())
-    if degree(p) <= _TRIAL_INPUT_DEG:
-        counts = _factor_trial(p)
-    else:
-        counts = {}
-        _factor_general(p, 1, counts)
-    return Factorization(p, tuple(sorted(counts.items())))
-
-
-def _factor_trial(p):
     counts = {}
-    for q in _irreducibles_up_to(_TRIAL_SIEVE_DEG):
-        if 2 * degree(q) > degree(p):
-            break
-        while True:
-            quo, r = divrem(p, q)
-            if r:
-                break
-            p = quo
-            counts[q] = counts.get(q, 0) + 1
-    if degree(p) >= 1:
-        # no factor of degree <= deg(p)/2 remains, so p is irreducible
-        counts[p] = counts.get(p, 0) + 1
-    return counts
+    _factor_general(p, 1, counts)
+    return Factorization(p, tuple(sorted(counts.items())))
 
 
 def _factor_general(p, mult, counts):

@@ -76,8 +76,8 @@ def divexact(p, d):
     return q
 
 
-# divrem without the quotient, which Rabin's test never needs: it
-# reduces one square per degree
+# divrem without the quotient, for callers that reduce repeatedly, such
+# as the distinct-degree and Rabin loops kept as test oracles
 def rem(p, d):
     """Remainder of p modulo d."""
     if d == 0:

@@ -1,6 +1,7 @@
 """Reference implementations for cross-checking.
 
-Everything here except sqrt_bitloop, sigma_naive, sigma_table_list,
+Everything here except sqrt_bitloop, the Rabin and trial-division
+oracles, factorize_ddf_edf, sigma_naive, sigma_table_list,
 smallest_factor_tables_marking, the two shape searches and
 odd_square_search_factoring works on
 coefficient lists (index i = coefficient of x^i) with schoolbook
@@ -32,17 +33,23 @@ factorize and sigma assembly.  factorize_ddf_edf is the distinct-degree
 and trace-based equal-degree splitting (with a seeded random split)
 that Berlekamp's algorithm replaced on the general factoring path; it
 shares only the gf2poly kernels with it, so it checks the kernel
-elimination and the splitting.
+elimination and the splitting.  is_irreducible_rabin (Rabin's
+criterion), irreducibles_rabin (the candidates it accepts) and
+factor_trial (trial division against those of degree <= 10) are the
+irreducibility test and the small-degree factoring path that the
+Berlekamp kernel replaced; they too share only the gf2poly kernels
+with it.
 """
 
 import random
+from functools import lru_cache
 
 from gf2perfect.factor import (
     _irreducibles_up_to, factorize, irreducibles_up_to,
 )
 from gf2perfect.gf2poly import (
-    X, X1, degree, derivative, divexact, gcd, mul, pow_, rem, sqrt, square,
-    translate,
+    X, X1, degree, derivative, divexact, divrem, gcd, mul, pow_, rem, sqrt,
+    square, translate,
 )
 from gf2perfect.perfect import (
     MAX_ODD_SQUARE_DEG, SearchReport, _classify_pattern, is_perfect,
@@ -193,6 +200,70 @@ def _split_equal_degree(g, d, rng):
         if 0 < degree(s) < degree(g):
             return (_split_equal_degree(s, d, rng)
                     + _split_equal_degree(divexact(g, s), d, rng))
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_irreducible_rabin(p):
+    """Rabin's criterion: x^(2^d) == x mod p, plus gcd checks at the
+    maximal proper divisors d/r of d for each prime r dividing d."""
+    d = degree(p)
+    if d < 1:
+        raise ValueError('irreducibility is undefined for constants')
+    if d == 1:
+        return True
+    if p & 1 == 0:  # divisible by x
+        return False
+    checkpoints = {d // r for r in _prime_divisors(d)}
+    h = X
+    for i in range(1, d + 1):
+        h = rem(square(h), p)
+        if i in checkpoints and gcd(h ^ X, p) != 1:
+            return False
+    return h == X
+
+
+@lru_cache(maxsize=None)
+def irreducibles_rabin(d):
+    """Irreducibles of degree <= d, ascending, by Rabin's criterion."""
+    out = [X, X1]
+    for n in range(2, d + 1):
+        for c in range((1 << n) | 1, 1 << (n + 1), 2):
+            # skip multiples of x+1 (even weight) before the full test
+            if (c.bit_count() & 1) and is_irreducible_rabin(c):
+                out.append(c)
+    return tuple(out)
+
+
+def factor_trial(p):
+    """{prime: exponent} of a p of degree <= 20, by trial division
+    against the Rabin-tested irreducibles of degree <= 10."""
+    counts = {}
+    for q in irreducibles_rabin(10):
+        if 2 * degree(q) > degree(p):
+            break
+        while True:
+            quo, r = divrem(p, q)
+            if r:
+                break
+            p = quo
+            counts[q] = counts.get(q, 0) + 1
+    if degree(p) >= 1:
+        # no factor of degree <= deg(p)/2 remains, so p is irreducible
+        counts[p] = counts.get(p, 0) + 1
+    return counts
 
 
 def sigma_naive(a):

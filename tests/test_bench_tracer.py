@@ -1,8 +1,10 @@
 """The benchmark's per-layer tracer still finds every function it wraps.
 
 bench/tracer.py rebinds package names such as sigma_table and
-_factor_trial; a renamed or deleted target would zero its metric
-without an error, so a missing one fails here instead.
+_factor_general; a renamed or deleted target would zero its metric
+without an error, so a missing one fails here instead.  The one
+expected miss is _factor_trial: every input now takes the general
+path, so its trial_calls metric reads 0.
 """
 
 import json
@@ -28,4 +30,4 @@ def test_tracer_install_finds_every_target():
         [sys.executable, '-c', INSTALL, str(ROOT / 'src'), str(ROOT / 'bench')],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert json.loads(out) == []
+    assert json.loads(out) == ['factor._factor_trial']

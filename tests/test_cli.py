@@ -189,8 +189,8 @@ def test_usage_errors_exit_2(capsys):
     ('verify-lemma', '5', '--p-deg-bound', '13', '--n-bound', '6'),
     ('verify-lemma', '5', '--n-bound', '100'),
     ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '6'),
-    ('verify-lemma', '8', '--h-bound', '301'),
-    ('verify-lemma', '8', '--h-bound', '400'),
+    ('verify-lemma', '8', '--h-bound', '601'),
+    ('verify-lemma', '8', '--h-bound', '800'),
 ])
 def test_oversize_bounds_exit_2(capsys, argv):
     # every value here is rejected before any allocation

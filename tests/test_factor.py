@@ -6,23 +6,23 @@ from pathlib import Path
 import pytest
 
 from gf2perfect.factor import (
-    _berlekamp, _berlekamp_kernel, _factor_general, _factor_trial,
-    _irreducibles_up_to, factorize, irreducibles_up_to, is_irreducible,
-    smallest_factor_tables, squarefree_part,
+    _berlekamp, _berlekamp_kernel, _irreducibles_up_to, factorize,
+    irreducibles_up_to, is_irreducible, smallest_factor_tables,
+    squarefree_part,
 )
 from gf2perfect.gf2poly import (
     X, X1, degree, derivative, gcd, mul, parse, pow_, rem, square,
 )
 from oracles import (
-    factorize_ddf_edf, irreducibles_bruteforce,
-    smallest_factor_tables_marking,
+    factor_trial, factorize_ddf_edf, irreducibles_bruteforce,
+    irreducibles_rabin, is_irreducible_rabin, smallest_factor_tables_marking,
 )
 
 
 def test_is_irreducible_examples():
     assert is_irreducible(0b111)
     assert is_irreducible(0b11111)           # the degree-4 complete polynomial
-    assert not is_irreducible(0b11110)       # x(x+1)^3, by trial division
+    assert not is_irreducible(0b11110)       # x(x+1)^3, divisible by x
     assert is_irreducible(2) and is_irreducible(3)
     assert not is_irreducible(0b101)         # (x+1)^2
     with pytest.raises(ValueError):
@@ -57,12 +57,12 @@ def test_factorize_round_trip_and_primality():
 
 
 def test_trial_and_general_paths_agree():
+    # factor_trial is exact to degree 20; every input of degree <= 12,
+    # where it is faster than Berlekamp, is checked
     rng = random.Random(12)
-    for _ in range(400):
-        p = rng.randrange(2, 1 << 21)        # within the trial-division range
-        counts = {}
-        _factor_general(p, 1, counts)
-        assert counts == _factor_trial(p)
+    polys = [rng.randrange(2, 1 << 21) for _ in range(400)]
+    for p in list(range(2, 1 << 13)) + polys:
+        assert factorize(p).factors == tuple(sorted(factor_trial(p).items()))
 
 
 def _random_polys(seed, count, lo, hi):
@@ -107,6 +107,13 @@ def test_general_path_matches_ddf_edf_oracle_on_structured_inputs():
         assert factorize(p).factors == factorize_ddf_edf(p)
 
 
+def test_is_irreducible_matches_rabin_oracle():
+    polys = list(range(2, 1 << 15))                        # degrees 1..14
+    polys += BIG_PRIMES + [(1 << n) | 1 for n in range(1, 301)]
+    for p in polys:
+        assert is_irreducible(p) == is_irreducible_rabin(p)
+
+
 def test_big_primes_have_one_dimensional_kernel():
     for p in BIG_PRIMES:
         assert is_irreducible(p)
@@ -146,7 +153,7 @@ def test_irreducibles_match_bruteforce_sieve():
 def test_irreducibles_from_sieve_match_rabin(d):
     # above degree 10 the public list reads the sieve's primes
     polys = irreducibles_up_to(d)
-    assert polys == list(_irreducibles_up_to(d))
+    assert polys == list(irreducibles_rabin(d))
     assert all(type(p) is int for p in polys)
 
 
