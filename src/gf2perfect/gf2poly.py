@@ -192,7 +192,8 @@ def to_hex(p):
     return format(p, '#x')
 
 
-# x^e builds an int of e bits, so a huge exponent would exhaust memory
+# no parsed power, product or hex literal may exceed this degree: x^e
+# builds an int of e bits, and factoring grows fast with the degree
 MAX_PARSE_DEGREE = 4096
 # the parser recurses four frames per '(', well inside Python's stack limit
 MAX_PARSE_NESTING = 100
@@ -204,7 +205,8 @@ def parse(text):
     Grammar: sums of products; a product is factors joined by '*' or by
     adjacency; a factor is '0', '1', 'x', a parenthesized sum, or a hex
     literal, optionally raised with '^' to a decimal exponent of ASCII
-    digits.  Parentheses nest at most MAX_PARSE_NESTING deep.
+    digits.  Parentheses nest at most MAX_PARSE_NESTING deep, and no
+    power, product or hex literal exceeds degree MAX_PARSE_DEGREE.
     """
     s = ''.join(text.split())
     if not s:
@@ -225,14 +227,13 @@ def _parse_sum(s, pos, depth):
 
 def _parse_product(s, pos, depth):
     p, pos = _parse_power(s, pos, depth)
-    while pos < len(s):
-        if s[pos] == '*':
-            q, pos = _parse_power(s, pos + 1, depth)
-        elif s[pos] in '(x01':  # adjacency multiplies
-            q, pos = _parse_power(s, pos, depth)
-        else:
-            break
+    while pos < len(s) and s[pos] in '*(x01':  # '*' or adjacency multiplies
+        start = pos + (s[pos] == '*')
+        q, pos = _parse_power(s, start, depth)
         p = mul(p, q)
+        if degree(p) > MAX_PARSE_DEGREE:
+            raise PolyParseError(
+                f'product exceeds degree {MAX_PARSE_DEGREE}', start)
     return p, pos
 
 
@@ -279,7 +280,13 @@ def _parse_atom(s, pos, depth):
             pos += 1
         if pos == start:
             raise PolyParseError('missing digits in hex literal', start)
-        return int(s[start:pos], 16), pos
+        # the degree follows from the digits, before int() converts them
+        digits = s[start:pos].lstrip('0') or '0'
+        top = int(digits[0], 16).bit_length()
+        if 4 * (len(digits) - 1) + top - 1 > MAX_PARSE_DEGREE:
+            raise PolyParseError(
+                f'hex literal exceeds degree {MAX_PARSE_DEGREE}', start)
+        return int(digits, 16), pos
     if c == 'x':
         return X, pos + 1
     if c in '01':

@@ -127,6 +127,28 @@ def test_global_flags_accepted_after_subcommand(capsys):
     mixed = invoke(capsys, '--format', 'json', 'shape-search',
                    '--deg-bound', '12', '--p-deg-bound', '4', '--seed', '1')
     assert mixed[1] == trailing[1]
+    # each lemma takes the global flags before, inside or after its name
+    bounds = ('--p-deg-bound', '4', '--n-bound', '2')
+    lemma = invoke(capsys, '--format', 'json', 'verify-lemma', '5', *bounds)
+    assert lemma[0] == 0 and json.loads(lemma[1])['bounds'] == \
+        {'p_deg_bound': 4, 'n_bound': 2}
+    assert invoke(capsys, 'verify-lemma', '5', *bounds,
+                  '--format', 'json') == lemma
+    assert invoke(capsys, 'verify-lemma', '--format', 'json', '5',
+                  *bounds) == lemma
+    parity = invoke(capsys, 'verify-lemma', 'parity', S1_TEXT, '--seed', '1')
+    assert parity == invoke(capsys, 'verify-lemma', 'parity', S1_TEXT)
+    assert parity == (0, 'lemma parity: ok\n', '')
+
+
+def test_verify_lemma_rejects_foreign_arguments(capsys):
+    # a bound flag or a polynomial that the chosen lemma does not take
+    for argv in (('verify-lemma', '5', '--h-bound', '10'),
+                 ('verify-lemma', '8', '--max-deg', '3'),
+                 ('verify-lemma', '5', '0x7'),
+                 ('verify-lemma', 'parity', '0x7', '--h-bound', '3')):
+        code, out, _ = invoke(capsys, *argv)
+        assert (code, out) == (2, ''), argv
 
 
 def test_odd_square_search_cli(capsys):
@@ -191,6 +213,11 @@ def test_usage_errors_exit_2(capsys):
     ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '6'),
     ('verify-lemma', '8', '--h-bound', '601'),
     ('verify-lemma', '8', '--h-bound', '800'),
+    ('certify', '0x' + 'f' * 5000),
+    ('factor', '0x2' + '0' * 1024),
+    ('certify', '(x^4000+1)(x^4000+1)'),
+    ('sigma', 'x^4096(x+1)'),
+    ('verify-lemma', 'parity', 'x^2048*x^2049'),
 ])
 def test_oversize_bounds_exit_2(capsys, argv):
     # every value here is rejected before any allocation

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gf2perfect.gf2poly import (
-    MAX_PARSE_NESTING, PolyParseError, add, degree, derivative, divrem, gcd,
-    is_self_inverse, is_square, mul, parse, pow_, rem, reverse, sqrt, square,
-    to_hex, to_text, translate,
+    MAX_PARSE_DEGREE, MAX_PARSE_NESTING, PolyParseError, add, degree,
+    derivative, divrem, gcd, is_self_inverse, is_square, mul, parse, pow_,
+    rem, reverse, sqrt, square, to_hex, to_text, translate,
 )
 from oracles import (
     from_coeffs, list_divmod, list_gcd, list_mul, sqrt_bitloop, to_coeffs,
@@ -113,6 +113,10 @@ def test_parse_product_forms():
     assert parse('1^' + '9' * 5000 + 'x') == X
     assert parse('0^' + '9' * 5000 + '+x') == X
     assert parse('0^000') == 1
+    # degree MAX_PARSE_DEGREE itself is in range, in every form
+    assert parse('x^4096') == parse('x^4000*x^96') == \
+        parse('0x1' + '0' * 1024) == parse('0x0' + '1' + '0' * 1024) == \
+        1 << MAX_PARSE_DEGREE
 
 
 @pytest.mark.parametrize('text,pos', [
@@ -125,6 +129,11 @@ def test_parse_product_forms():
     ('x^99999999999', 2),
     ('(x^2)^2049', 6),
     ('x^4096x^4097', 8),
+    ('x^4096x', 6),                   # a product, each factor in range
+    ('x^4000*x^97', 7),
+    ('(x^4000+1)(x^4000+1)', 10),
+    pytest.param('0x2' + '0' * 1024, 2, id='hex-of-degree-4097'),
+    pytest.param('0x' + 'f' * 5000, 2, id='hex-of-5000-digits'),
     ('x^\u00b2', 2),                  # superscript two
     ('x^\u0661\u0662', 2),            # Arabic-Indic 12
 ])
