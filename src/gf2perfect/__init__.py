@@ -2,11 +2,10 @@
 
 from .factor import (
     Factorization, factorize, irreducibles_up_to, is_irreducible,
-    squarefree_part,
 )
 from .gf2poly import (
-    Poly, PolyParseError, add, degree, divrem, gcd, is_self_inverse, mul,
-    parse, pow_, reverse, to_hex, to_text, translate,
+    Poly, PolyParseError, degree, divrem, gcd, is_self_inverse, mul, parse,
+    pow_, reverse, to_hex, to_text, translate,
 )
 from .perfect import (
     PerfectCertificate, SearchReport, Shape, catalog, exhaustive_search,
@@ -14,6 +13,6 @@ from .perfect import (
 )
 # NB: the sigma function itself lives at gf2perfect.sigma.sigma; exporting
 # it here would shadow the submodule of the same name.
-from .sigma import Parity, omega, parity, sigma_prime_power
+from .sigma import Parity, parity, sigma_prime_power
 
 __version__ = '0.1.0'

@@ -12,6 +12,7 @@ verifier with its default bounds and that classical solution set.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from .factor import (
@@ -19,7 +20,8 @@ from .factor import (
     is_irreducible,
 )
 from .gf2poly import (
-    X1, degree, divrem, is_self_inverse, pow_, to_hex, translate,
+    X1, degree, derivative, divrem, gcd, is_self_inverse, mul, pow_, to_hex,
+    translate,
 )
 from .sigma import sigma_prime_power
 
@@ -41,15 +43,6 @@ class SpecialForm:
         rebuilt = (pow_(X1, self.b) << self.a) ^ 1
         if rebuilt != self.witness:
             raise ValueError('special form does not reproduce its witness')
-
-
-def is_complete(p):
-    """The h with p = 1 + x + ... + x^h, or None."""
-    if p == 0:
-        raise ValueError('the zero polynomial is not complete')
-    if p & (p + 1):  # not an all-ones mask
-        return None
-    return degree(p)
 
 
 def special_form(p):
@@ -130,8 +123,8 @@ def verify_lemma5(p_deg_bound, n_bound):
     for p, n, fac in _sigma_even_powers(p_deg_bound, n_bound):
         g = math.gcd(*(e for _, e in fac)) if fac.omega else 0
         if g >= 2:
-            violations.append({'p': p, 'n': n, 'root': _root_of(fac, g),
-                               'power': g})
+            root = reduce(mul, (pow_(q, e // g) for q, e in fac), 1)
+            violations.append({'p': p, 'n': n, 'root': root, 'power': g})
     return violations
 
 
@@ -160,16 +153,19 @@ def _even_powers_work(p_deg_bound, n_bound):
                for d, count in irreducible_counts(p_deg_bound).items())
 
 
-# Lemmas 5 and 6 factor sigma(P^(2n)), of degree 2n deg(P), for every
-# prime up to the degree bound, and the factoring cost grows about as
-# the square of the degree, so one cap bounds _even_powers_work and the
-# two bounds trade against each other.  In-process on a 2-CPU Xeon VM a
-# unit costs 20-45 ns once the work passes 5 million, up to 70 ns when
-# it is spread over many small primes.  The CLI at the corners of the
-# cap: p_deg_bound 13 and n_bound 5 (43 million) 2.0 s, 14 and 4 (51
-# million) 2.3 s, 15 and 3 (51 million) 3.0 s, 18 and 1 (36 million)
-# 2.5 s, 6 and 43 (60 million) 1.6 s, 2 and 195 (60 million) 1.1 s.
-# The defaults 6 and 4 are 66 thousand; 6 and 100 would be 740 million.
+# Lemmas 5 and 6 build sigma(P^(2n)), of degree 2n deg(P), for every
+# prime up to the degree bound, and factor those that are not
+# squarefree; gcd and factoring costs grow about as the square of the
+# degree, so one cap bounds _even_powers_work and the two bounds trade
+# against each other.  The cap was measured when every sigma was
+# factored, and is kept so that no bound changes its exit code; the
+# prefilter made the corners 2-8x cheaper.  The CLI on a 2-CPU Xeon VM
+# at the corners of the cap, lemma 5 then lemma 6: p_deg_bound 13 and
+# n_bound 5 (43 million) 0.7 and 0.6 s, 14 and 4 (51 million) 0.9 and
+# 0.8 s, 15 and 3 (51 million) 1.0 and 0.9-1.1 s, 18 and 1 (36
+# million) 0.8-1.0 and 1.0-1.4 s, 6 and 43 (60 million) 0.2-0.3 s, 2
+# and 195 (60 million) 0.2 s.  The defaults 6 and 4 are 66 thousand;
+# 6 and 100 would be 740 million.
 MAX_EVEN_POWERS_WORK = 60_000_000
 
 
@@ -182,18 +178,13 @@ def _sigma_even_powers(p_deg_bound, n_bound):
         raise ValueError(
             'bounds too large: sum of deg(sigma(P^(2n)))^2 over the primes '
             f'and exponents must be <= {MAX_EVEN_POWERS_WORK}')
-    return ((p, n, factorize(sigma_prime_power(p, 2 * n)))
+    # a squarefree s (gcd(s, s') == 1) has no repeated factor, so it can
+    # violate neither lemma and is not factored
+    return ((p, n, factorize(s))
             for p in irreducibles_up_to(p_deg_bound)
-            for n in range(1, n_bound + 1))
-
-
-def _root_of(fac, g):
-    from .gf2poly import mul
-
-    root = 1
-    for q, e in fac:
-        root = mul(root, pow_(q, e // g))
-    return root
+            for n in range(1, n_bound + 1)
+            for s in (sigma_prime_power(p, 2 * n),)
+            if gcd(s, derivative(s)) != 1)
 
 
 # Theorem 8 factors 1 + x + ... + x^(2h) for every h, up to degree 1200:

@@ -13,7 +13,7 @@ distinct-degree and equal-degree splitting kept in the test oracles.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import X, X1, degree, derivative, divexact, gcd, mul, pow_, sqrt
+from .gf2poly import X, X1, degree, derivative, divexact, gcd, sqrt, to_hex
 
 # irreducibles_up_to lists the primes of degree <= _NUMPY_FREE_DEG by
 # testing each candidate, so small bounds never import numpy
@@ -39,18 +39,11 @@ class Factorization:
         """The distinct irreducible factors, ascending."""
         return [p for p, _ in self.factors]
 
-    def product(self):
-        """Reassemble the factorization; equals ``value`` by construction."""
-        r = 1
-        for p, e in self.factors:
-            r = mul(r, pow_(p, e))
-        return r
-
     def to_dict(self):
         """JSON-friendly form with hex primes."""
         return {
-            'poly_hex': format(self.value, '#x'),
-            'factors': [{'prime_hex': format(p, '#x'), 'exp': e}
+            'poly_hex': to_hex(self.value),
+            'factors': [{'prime_hex': to_hex(p), 'exp': e}
                         for p, e in self.factors],
         }
 
@@ -149,8 +142,9 @@ def _berlekamp_kernel(w):
     x^i as its low n bits to record the combination, each row is
     reduced against the pivots found so far (indexed by leading bit).
     A row whose high half clears leaves in its low half a combination
-    of the x^i that Q - I maps to 0.  For squarefree w, v mod P lies in GF(2) for each
-    prime P | w, so by CRT the kernel has dimension omega(w).
+    of the x^i that Q - I maps to 0.  For squarefree w, v mod P lies in
+    GF(2) for each prime P | w, so by CRT the kernel has dimension
+    omega(w).
     """
     n = degree(w)
     top = 1 << n
@@ -201,16 +195,6 @@ def _berlekamp(w):
     return pieces
 
 
-def squarefree_part(p):
-    """Product of the distinct irreducible factors of a nonzero p."""
-    if p == 0:
-        raise ValueError('squarefree part of the zero polynomial is undefined')
-    r = 1
-    for q, _ in factorize(p):
-        r = mul(r, q)
-    return r
-
-
 def smallest_factor_tables(max_deg):
     """Tables (spf, quot) over the odd ints below 2^(max_deg+1).
 
@@ -222,9 +206,10 @@ def smallest_factor_tables(max_deg):
     A linear sieve marks each odd composite once, by its least prime:
     for each irreducible p != x of degree <= max_deg/2, in ascending
     order, the odd cofactors m still unmarked have no prime factor below
-    p, so every p*m (odd, stored at (p*m) >> 1) gets spf = p.  For x+1
-    that is every odd m.  Anything unmarked afterwards has no factor of
-    degree <= max_deg/2 and is therefore itself irreducible.
+    p, so every p*m (odd, stored at (p*m) >> 1) gets spf = p.  For x+1,
+    the first, nothing is marked yet, so that is every odd m.  Anything
+    unmarked afterwards has no factor of degree <= max_deg/2 and is
+    therefore itself irreducible.
     """
     import numpy as np
 
@@ -234,12 +219,9 @@ def smallest_factor_tables(max_deg):
     for p in _irreducibles_up_to(max_deg // 2)[1:]:
         # odd m with deg(p*m) <= max_deg sit at entries below n
         n = size >> degree(p)
-        if p == X1:
-            m = np.arange(1, 2 * n, 2, dtype=np.uint32)
-        else:
-            m = np.flatnonzero(spf[:n] == 0).astype(np.uint32)
-            m <<= 1
-            m |= 1
+        m = np.flatnonzero(spf[:n] == 0).astype(np.uint32)
+        m <<= 1
+        m |= 1
         prod = np.zeros_like(m)
         bits = p
         shift = 0

@@ -30,11 +30,6 @@ def degree(p):
     return p.bit_length() - 1
 
 
-def add(p, q):
-    """Add (equivalently, subtract) polynomials p and q."""
-    return p ^ q
-
-
 def mul(p, q):
     """Carryless (GF(2)) product of p and q."""
     if p < q:
@@ -154,11 +149,6 @@ def _even_positions_mask(n):
 def derivative(p):
     """Formal derivative: in characteristic 2 only odd-degree terms survive."""
     return (p >> 1) & _even_positions_mask(p.bit_length())
-
-
-def is_square(p):
-    """True iff p is a perfect square, i.e. all odd-index coefficients vanish."""
-    return p & (_even_positions_mask(p.bit_length()) << 1) == 0
 
 
 def sqrt(p):

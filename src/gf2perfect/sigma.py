@@ -20,6 +20,7 @@ Characteristic-2 prime-power identities, each tested against that path:
 """
 
 from enum import Enum
+from functools import reduce
 
 from .factor import factorize, smallest_factor_tables
 from .gf2poly import divexact, mul, pow_
@@ -53,17 +54,7 @@ def sigma(a):
 
 def sigma_of_factorization(fac):
     """sigma from an existing Factorization."""
-    s = 1
-    for p, e in fac:
-        s = mul(s, sigma_prime_power(p, e))
-    return s
-
-
-def omega(a):
-    """Number of distinct irreducible factors of a != 0."""
-    if a == 0:
-        raise ValueError('omega of the zero polynomial is undefined')
-    return factorize(a).omega
+    return reduce(mul, (sigma_prime_power(p, e) for p, e in fac), 1)
 
 
 def parity(a):

@@ -38,11 +38,16 @@ criterion), irreducibles_rabin (the candidates it accepts) and
 factor_trial (trial division against those of degree <= 10) are the
 irreducibility test and the small-degree factoring path that the
 Berlekamp kernel replaced; they too share only the gf2poly kernels
-with it.
+with it.  product_of_powers rebuilds a polynomial from (prime,
+exponent) pairs.  even_power_violations_factoring is lemmas 5 and 6
+without the squarefree prefilter: it builds every sigma(P^(2n)) by
+Horner's rule and factors it with factorize_ddf_edf, so it checks that
+the prefilter drops only sigmas that cannot violate either lemma.
 """
 
+import math
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from gf2perfect.factor import (
     _irreducibles_up_to, factorize, irreducibles_up_to,
@@ -514,3 +519,29 @@ def odd_square_search_factoring(max_deg):
         shapes_pruned={},
         perfects_found=certs,
     )
+
+
+def product_of_powers(pairs):
+    """The product of p^e over (p, e) pairs, such as a Factorization."""
+    return reduce(mul, (pow_(p, e) for p, e in pairs), 1)
+
+
+def even_power_violations_factoring(p_deg_bound, n_bound):
+    """(verify_lemma5, verify_lemma6) results from factoring every
+    sigma(P^(2n)) for the Rabin-tested primes P of degree <= p_deg_bound
+    and 1 <= n <= n_bound, squarefree or not."""
+    lemma5, lemma6 = [], []
+    for p in irreducibles_rabin(p_deg_bound):
+        s = 1
+        for n in range(1, n_bound + 1):
+            s = mul(p, mul(p, s) ^ 1) ^ 1  # sigma(P^(2n)) by Horner's rule
+            factors = factorize_ddf_edf(s)
+            g = math.gcd(*(e for _, e in factors))
+            if g >= 2:
+                root = product_of_powers((q, e // g) for q, e in factors)
+                lemma5.append({'p': p, 'n': n, 'root': root, 'power': g})
+            for q, e in factors:
+                for m in range(2, e + 1):
+                    if degree(p) <= (m - 1 if m % 2 else m) * degree(q):
+                        lemma6.append({'p': p, 'n': n, 'q': q, 'm': m})
+    return lemma5, lemma6

@@ -2,7 +2,7 @@ import pytest
 
 from gf2perfect.canaday import (
     MAX_EVEN_POWERS_WORK, MAX_LEMMA4_BOUND, SpecialForm, _even_powers_work,
-    is_complete, special_form, verify_lemma1_iv, verify_lemma4,
+    _sigma_even_powers, special_form, verify_lemma1_iv, verify_lemma4,
     verify_lemma5, verify_lemma6, verify_minimal_prime_parity,
     verify_theorem8,
 )
@@ -10,15 +10,9 @@ from gf2perfect.factor import factorize
 from gf2perfect.gf2poly import parse, reverse
 from gf2perfect.perfect import C1, S1, trivial_perfect
 from gf2perfect.sigma import sigma_prime_power
-
-
-def test_is_complete():
-    assert is_complete(0b111) == 2
-    assert is_complete(0b101) is None
-    assert is_complete(0b111111111) == 8
-    assert is_complete(1) == 0
-    with pytest.raises(ValueError):
-        is_complete(0)
+from oracles import (
+    even_power_violations_factoring, factorize_ddf_edf, irreducibles_rabin,
+)
 
 
 def test_special_form_examples():
@@ -65,6 +59,31 @@ def test_lemma5_no_proper_perfect_powers():
 def test_lemma6_degree_inequalities():
     assert verify_lemma6(6, 4) == []
     assert verify_lemma6(4, 3) == []
+
+
+def test_even_powers_skip_exactly_the_squarefree_sigmas():
+    # lemmas 5 and 6 read repeated factors only, so _sigma_even_powers
+    # factors sigma(P^(2n)) only where some exponent is >= 2
+    want = []
+    for p in irreducibles_rabin(8):
+        for n in range(1, 7):
+            factors = factorize_ddf_edf(sigma_prime_power(p, 2 * n))
+            if any(e >= 2 for _, e in factors):
+                want.append((p, n, factors))
+    got = [(p, n, fac.factors) for p, n, fac in _sigma_even_powers(8, 6)]
+    assert got == want and got
+    # the bounds are checked on the call, before any iteration
+    with pytest.raises(ValueError):
+        _sigma_even_powers(8, 0)
+    with pytest.raises(ValueError, match='bounds too large'):
+        _sigma_even_powers(13, 6)
+
+
+@pytest.mark.parametrize('bounds', [(8, 6), (2, 40)])
+def test_lemmas_5_and_6_match_factoring_every_sigma(bounds):
+    lemma5, lemma6 = even_power_violations_factoring(*bounds)
+    assert verify_lemma5(*bounds) == lemma5
+    assert verify_lemma6(*bounds) == lemma6
 
 
 def test_lemma_bounds_at_their_caps_are_accepted():

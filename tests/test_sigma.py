@@ -7,13 +7,11 @@ import gf2perfect.sigma as sigma_module
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_, square
 from gf2perfect.sigma import (
-    Parity, omega, parity, sigma, sigma_prime_power, sigma_square_table,
-    sigma_table,
+    Parity, parity, sigma, sigma_prime_power, sigma_square_table, sigma_table,
 )
 from oracles import sigma_bruteforce, sigma_naive, sigma_table_list
 
 C1 = parse('x^2(x+1)(x^2+x+1)^2(x^4+x+1)')
-S1 = parse('x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)')
 
 
 def horner_sigma(p, n):
@@ -52,14 +50,6 @@ def test_sigma_examples():
     assert sigma(0b1000) == pow_(0b11, 3)  # sigma(x^3)
     with pytest.raises(ValueError):
         sigma(0)
-
-
-def test_omega_examples():
-    assert omega(C1) == 4
-    assert omega(1 << 5) == 1
-    assert omega(S1) == 5
-    with pytest.raises(ValueError):
-        omega(0)
 
 
 def test_parity_examples():
