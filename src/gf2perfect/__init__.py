@@ -8,7 +8,7 @@ from .gf2poly import (
     pow_, reverse, to_hex, to_text, translate,
 )
 from .perfect import (
-    PerfectCertificate, SearchReport, Shape, catalog, exhaustive_search,
+    PerfectCertificate, SearchReport, catalog, exhaustive_search,
     is_perfect, odd_square_search, shape_search, trivial_perfect,
 )
 # NB: the sigma function itself lives at gf2perfect.sigma.sigma; exporting

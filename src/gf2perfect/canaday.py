@@ -16,8 +16,7 @@ from functools import reduce
 from typing import Callable
 
 from .factor import (
-    MAX_IRREDUCIBLES_DEG, factorize, irreducible_counts, irreducibles_up_to,
-    is_irreducible,
+    MAX_IRREDUCIBLES_DEG, factorize, irreducibles_up_to, is_irreducible,
 )
 from .gf2poly import (
     X1, degree, derivative, divrem, gcd, is_self_inverse, mul, pow_, to_hex,
@@ -31,22 +30,8 @@ def _ones(n):
     return (1 << (n + 1)) - 1
 
 
-@dataclass(frozen=True)
-class SpecialForm:
-    """Witness that a polynomial equals x^a (x+1)^b + 1."""
-
-    a: int
-    b: int
-    witness: int
-
-    def __post_init__(self):
-        rebuilt = (pow_(X1, self.b) << self.a) ^ 1
-        if rebuilt != self.witness:
-            raise ValueError('special form does not reproduce its witness')
-
-
 def special_form(p):
-    """Decompose p as x^a (x+1)^b + 1 via the factorization of p + 1."""
+    """(a, b) with p = x^a (x+1)^b + 1, or None if p has no such form."""
     if p == 0:
         raise ValueError('special form of the zero polynomial is undefined')
     v = p ^ 1
@@ -57,7 +42,7 @@ def special_form(p):
     b = degree(w)
     if w != pow_(X1, b):
         return None
-    return SpecialForm(a, b, p)
+    return a, b
 
 
 # The caps below keep each verifier under about 5 s in the CLI on a
@@ -146,27 +131,26 @@ def verify_lemma6(p_deg_bound, n_bound):
 
 
 def _even_powers_work(p_deg_bound, n_bound):
-    """Cost model of lemmas 5 and 6: the sum of deg(sigma(P^(2n)))^2
-    over the primes P of degree <= p_deg_bound and n <= n_bound."""
-    squares = n_bound * (n_bound + 1) * (2 * n_bound + 1) // 6
-    return sum(count * 4 * d * d * squares
-               for d, count in irreducible_counts(p_deg_bound).items())
+    """Cost model of lemmas 5 and 6: a bound on the total degree of the
+    sigma(P^(2n)) built, over the primes P of degree <= p_deg_bound and
+    n <= n_bound.  The degrees of those primes sum to at most
+    2^(p_deg_bound+1), and the 2n to n_bound (n_bound + 1)."""
+    return (2 << p_deg_bound) * n_bound * (n_bound + 1)
 
 
 # Lemmas 5 and 6 build sigma(P^(2n)), of degree 2n deg(P), for every
-# prime up to the degree bound, and factor those that are not
-# squarefree; gcd and factoring costs grow about as the square of the
-# degree, so one cap bounds _even_powers_work and the two bounds trade
-# against each other.  The cap was measured when every sigma was
-# factored, and is kept so that no bound changes its exit code; the
-# prefilter made the corners 2-8x cheaper.  The CLI on a 2-CPU Xeon VM
-# at the corners of the cap, lemma 5 then lemma 6: p_deg_bound 13 and
-# n_bound 5 (43 million) 0.7 and 0.6 s, 14 and 4 (51 million) 0.9 and
-# 0.8 s, 15 and 3 (51 million) 1.0 and 0.9-1.1 s, 18 and 1 (36
-# million) 0.8-1.0 and 1.0-1.4 s, 6 and 43 (60 million) 0.2-0.3 s, 2
-# and 195 (60 million) 0.2 s.  The defaults 6 and 4 are 66 thousand;
-# 6 and 100 would be 740 million.
-MAX_EVEN_POWERS_WORK = 60_000_000
+# prime up to the degree bound, take its gcd with its derivative, and
+# factor those that are not squarefree.  Building and the gcd pass cost
+# about linearly in the total degree, so one cap bounds
+# _even_powers_work and the two bounds trade against each other; the
+# factoring, which grows faster, sets the cap.  The CLI on a 2-CPU Xeon
+# VM at the corners of the cap (p_deg_bound/n_bound, lemmas 5 and 6,
+# 2-4 runs): 1/706 to 4/249 0.5-0.6 s, 5/176 2.6-3.4 s, 8/62 2.0-2.9 s,
+# 9/43 1.9-2.3 s, 13/10 2.5-2.7 s, 18/1 0.8-1.1 s, and 0.9-2.6 s at
+# the others.  A cap of 4 million would take 10 s at 5/249.  The
+# defaults 6 and 4 are 2,560; every pair that the cap of 60 million on
+# the sum of squared degrees admitted is at most 1,048,576 (18/1).
+MAX_EVEN_POWERS_WORK = 2_000_000
 
 
 def _sigma_even_powers(p_deg_bound, n_bound):
@@ -176,8 +160,8 @@ def _sigma_even_powers(p_deg_bound, n_bound):
         raise ValueError(f'p_deg_bound must be <= {MAX_IRREDUCIBLES_DEG}')
     if _even_powers_work(p_deg_bound, n_bound) > MAX_EVEN_POWERS_WORK:
         raise ValueError(
-            'bounds too large: sum of deg(sigma(P^(2n)))^2 over the primes '
-            f'and exponents must be <= {MAX_EVEN_POWERS_WORK}')
+            'bounds too large: 2^(p_deg_bound+1) n_bound (n_bound+1) must '
+            f'be <= {MAX_EVEN_POWERS_WORK}')
     # a squarefree s (gcd(s, s') == 1) has no repeated factor, so it can
     # violate neither lemma and is not factored
     return ((p, n, factorize(s))

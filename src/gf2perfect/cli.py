@@ -16,6 +16,7 @@ chosen subcommand does not take).
 
 import argparse
 import json
+import signal
 import sys
 
 from . import canaday, perfect
@@ -199,6 +200,9 @@ def run(argv):
 
 
 def main():
+    # a reader that closes the pipe early (gf2perfect ... | head) ends the
+    # process as it ends any Unix filter, not with a BrokenPipeError
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -58,41 +58,6 @@ class PerfectCertificate:
         }
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Exponent pattern (h, k, l, m) for x^h (x+1)^k P^l Q^m candidates.
-
-    The case tag names which structural family the pattern belongs to;
-    l and m are oriented so the tag's constraint reads off directly
-    (tag b: l = 2^n, m = 2^n - 1; tags c/d/e: m + 1 a power of two).
-    """
-
-    case_tag: str
-    h: int
-    k: int
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.case_tag not in 'abcde':
-            raise ValueError(f'unknown case tag {self.case_tag!r}')
-        if min(self.h, self.k) < 0 or min(self.l, self.m) < 1:
-            raise ValueError('exponents out of range')
-        h, k, l, m = self.h, self.k, self.l, self.m
-        mersenne = (m + 1) & m == 0
-        ok = {
-            'a': l % 2 == 0 and m % 2 == 0,
-            'b': l >= 2 and l & (l - 1) == 0 and m == l - 1,
-            'c': h % 2 == 0 and k % 2 == 0 and l % 2 == 1 and mersenne,
-            'd': (h + k) % 2 == 1 and l % 2 == 1 and mersenne,
-            'e': h % 2 == 1 and k % 2 == 1 and l % 2 == 1 and m % 2 == 1
-                 and mersenne,
-        }[self.case_tag]
-        if not ok:
-            raise ValueError(
-                f'exponents ({h},{k},{l},{m}) violate case {self.case_tag!r}')
-
-
 @dataclass
 class SearchReport:
     """Outcome of one search run; counts are reproducible per config."""
@@ -103,7 +68,7 @@ class SearchReport:
     candidates_examined: int
     perfects_found: list
     shapes_pruned: dict = field(default_factory=dict)  # rule -> count
-    found_shapes: dict = field(default_factory=dict)  # poly -> record
+    found_shapes: list = field(default_factory=list)  # in find order
 
     def found_polys(self):
         return [c.poly for c in self.perfects_found]
@@ -126,8 +91,7 @@ class SearchReport:
                                for a, b in self.symmetry_pairs()],
         }
         if self.found_shapes:
-            d['found_shapes'] = [self.found_shapes[c.poly]
-                                 for c in self.perfects_found]
+            d['found_shapes'] = self.found_shapes
         return d
 
 
@@ -241,20 +205,26 @@ def _classify_pattern(l, m):
     return None
 
 
-def _hit_shape(h, k, l, m):
-    """The Shape of a certified hit, with (l, m) oriented to its tag."""
+def _hit_record(h, k, p, l, q, m):
+    """The found_shapes record of a hit x^h (x+1)^k P^l Q^m.
+
+    Tag a has l and m even.  Otherwise the Mersenne exponent (m + 1 a
+    power of two) takes the m slot, with its prime: tag b then pairs
+    l = 2^n with m = 2^n - 1, and two odd exponents take tag c, d or e
+    as none, one or both of h and k are odd.  A hit whose (l, m) a
+    structure lemma excludes raises ValueError.
+    """
+    rule = _classify_pattern(l, m)
+    if rule is not None:
+        raise ValueError(f'exponents ({l}, {m}) violate {rule}')
     if l % 2 == 0 and m % 2 == 0:
         tag = 'a'
-    elif l % 2 != m % 2:
-        tag = 'b'
-        if l % 2 == 1:  # put the power of two in the l slot
-            l, m = m, l
     else:
-        tag = 'c' if h % 2 == 0 and k % 2 == 0 else \
-              'e' if h % 2 == 1 and k % 2 == 1 else 'd'
-        if (m + 1) & m != 0:  # put the Mersenne exponent in the m slot
-            l, m = m, l
-    return Shape(tag, h, k, l, m)
+        if (m + 1) & m != 0:
+            p, l, q, m = q, m, p, l
+        tag = 'b' if l % 2 != m % 2 else 'cde'[h % 2 + k % 2]
+    return {'case_tag': tag, 'h': h, 'k': k, 'l': l, 'm': m,
+            'p_hex': to_hex(p), 'q_hex': to_hex(q)}
 
 
 def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
@@ -387,17 +357,11 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
     hits = sorted((reduce(mul, (pow_(p, e) for p, e in dec.items()), 1), dec)
                   for dec in closed if len(dec) == 4)
     certs = []
-    found_shapes = {}
+    found_shapes = []
     for poly, dec in hits:
         (_, h), (_, k), (p, l), (q, m) = sorted(dec.items())
         certs.append(is_perfect(poly))
-        shape = _hit_shape(h, k, l, m)
-        if shape.l != l:
-            p, q = q, p
-        found_shapes[poly] = {
-            'case_tag': shape.case_tag, 'h': h, 'k': k, 'l': shape.l,
-            'm': shape.m, 'p_hex': to_hex(p), 'q_hex': to_hex(q),
-        }
+        found_shapes.append(_hit_record(h, k, p, l, q, m))
     return SearchReport(
         kind='shape',
         degree_bound=deg_bound,

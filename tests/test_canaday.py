@@ -1,13 +1,13 @@
 import pytest
 
 from gf2perfect.canaday import (
-    MAX_EVEN_POWERS_WORK, MAX_LEMMA4_BOUND, SpecialForm, _even_powers_work,
+    MAX_EVEN_POWERS_WORK, MAX_LEMMA4_BOUND, _even_powers_work,
     _sigma_even_powers, special_form, verify_lemma1_iv, verify_lemma4,
     verify_lemma5, verify_lemma6, verify_minimal_prime_parity,
     verify_theorem8,
 )
-from gf2perfect.factor import factorize
-from gf2perfect.gf2poly import parse, reverse
+from gf2perfect.factor import factorize, irreducibles_up_to
+from gf2perfect.gf2poly import X1, degree, parse, pow_, reverse
 from gf2perfect.perfect import C1, S1, trivial_perfect
 from gf2perfect.sigma import sigma_prime_power
 from oracles import (
@@ -16,21 +16,22 @@ from oracles import (
 
 
 def test_special_form_examples():
-    sf = special_form(0b111)
-    assert (sf.a, sf.b) == (1, 1)
-    sf = special_form(0b11001)                 # x^4+x^3 = x^3(x+1)
-    assert (sf.a, sf.b) == (3, 1)
+    assert special_form(0b111) == (1, 1)
+    assert special_form(0b11001) == (3, 1)     # x^4+x^3 = x^3(x+1)
     assert special_form(0b10011) is None       # x^4+x = x(x+1)(x^2+x+1)
     assert special_form(1) is None
     with pytest.raises(ValueError):
         special_form(0)
 
 
-def test_special_form_witness_validation():
-    sf = SpecialForm(1, 3, 0b11111)
-    assert sf.witness == 0b11111
-    with pytest.raises(ValueError):
-        SpecialForm(2, 2, 0b11111)
+def test_special_form_round_trip():
+    # every x^a (x+1)^b + 1 decomposes back into (a, b), and every other
+    # polynomial of degree < 12 has no special form
+    forms = {(pow_(X1, b) << a) ^ 1: (a, b)
+             for a in range(12) for b in range(12) if a + b > 0}
+    assert len(forms) == 143
+    for p in set(range(1, 1 << 12)) | forms.keys():
+        assert special_form(p) == forms.get(p)
 
 
 def test_lemma1_iv_solution_sets():
@@ -76,7 +77,7 @@ def test_even_powers_skip_exactly_the_squarefree_sigmas():
     with pytest.raises(ValueError):
         _sigma_even_powers(8, 0)
     with pytest.raises(ValueError, match='bounds too large'):
-        _sigma_even_powers(13, 6)
+        _sigma_even_powers(20, 1)
 
 
 @pytest.mark.parametrize('bounds', [(8, 6), (2, 40)])
@@ -97,13 +98,23 @@ def test_lemma_bounds_at_their_caps_are_accepted():
 
 
 def test_even_powers_work_cap():
-    # N(1..3) = 2, 1, 2 primes; deg(sigma(P^(2n))) = 2n deg(P)
-    assert _even_powers_work(3, 1) == 2 * 4 + 1 * 16 + 2 * 36
-    assert _even_powers_work(3, 2) == 5 * _even_powers_work(3, 1)
-    for p_deg_bound, n_bound in ((13, 5), (14, 4), (15, 3), (6, 43)):
+    # the model bounds the total degree of the sigma(P^(2n)) built:
+    # deg P sums to at most 2^(p_deg_bound+1), and 2n to n(n+1)
+    assert _even_powers_work(3, 1) == 16 * 2
+    assert _even_powers_work(3, 2) == 3 * _even_powers_work(3, 1)
+    for p_deg_bound, n_bound in ((1, 5), (3, 4), (8, 6)):
+        total = sum(degree(sigma_prime_power(p, 2 * n))
+                    for p in irreducibles_up_to(p_deg_bound)
+                    for n in range(1, n_bound + 1))
+        assert total <= _even_powers_work(p_deg_bound, n_bound)
+    # the corners of the cap, and every corner of the earlier cap on the
+    # sum of squared degrees (13/5, 14/4, 15/3, 18/1, 6/43, 2/195)
+    for p_deg_bound, n_bound in ((18, 1), (13, 10), (9, 43), (5, 176),
+                                 (1, 706), (13, 5), (14, 4), (15, 3),
+                                 (6, 43), (2, 195)):
         assert _even_powers_work(p_deg_bound, n_bound) <= MAX_EVEN_POWERS_WORK
-    for p_deg_bound, n_bound in ((13, 6), (14, 5), (15, 4), (6, 44), (6, 100),
-                                 (20, 1)):
+    for p_deg_bound, n_bound in ((19, 1), (13, 11), (9, 44), (5, 177),
+                                 (1, 707), (20, 1)):
         assert _even_powers_work(p_deg_bound, n_bound) > MAX_EVEN_POWERS_WORK
         for verify in (verify_lemma5, verify_lemma6):
             with pytest.raises(ValueError, match='bounds too large'):
@@ -115,8 +126,7 @@ def test_even_powers_work_cap():
 def test_theorem8_solution_set():
     assert verify_theorem8(30) == [1, 2, 3]
     # h = 2 qualifies: sigma(x^4) is irreducible with x^4+...+x = x(x+1)^3
-    sf = special_form(0b11111)
-    assert (sf.a, sf.b) == (1, 3)
+    assert special_form(0b11111) == (1, 3)
     # h = 4 fails through its factor 1+x^3+x^6: x^6+x^3 = x^3(x+1)(x^2+x+1)
     assert factorize(0b111111111).primes() == [0b111, 0b1001001]
     assert special_form(0b1001001) is None

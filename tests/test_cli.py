@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gf2perfect
 from gf2perfect.cli import run
 from gf2perfect.gf2poly import parse, to_hex, to_text
 
@@ -198,9 +202,9 @@ def test_usage_errors_exit_2(capsys):
     ('irreducibles', '--max-deg', '40'),
     ('shape-search', '--deg-bound', '40', '--p-deg-bound', '40'),
     ('verify-lemma', '5', '--p-deg-bound', '40'),
-    ('verify-lemma', '5', '--p-deg-bound', '15'),
+    ('verify-lemma', '5', '--p-deg-bound', '16'),
     ('verify-lemma', '5', '--p-deg-bound', '20'),
-    ('verify-lemma', '6', '--p-deg-bound', '15'),
+    ('verify-lemma', '6', '--p-deg-bound', '16'),
     ('verify-lemma', '6', '--p-deg-bound', '20'),
     ('shape-search', '--deg-bound', '301', '--p-deg-bound', '8'),
     ('shape-search', '--deg-bound', '100000', '--p-deg-bound', '8'),
@@ -208,9 +212,9 @@ def test_usage_errors_exit_2(capsys):
     ('verify-lemma', '4', '--h-bound', '351'),
     ('verify-lemma', '4', '--k-bound', '351'),
     ('verify-lemma', '4', '--h-bound', '2000', '--k-bound', '2000'),
-    ('verify-lemma', '5', '--p-deg-bound', '13', '--n-bound', '6'),
-    ('verify-lemma', '5', '--n-bound', '100'),
-    ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '6'),
+    ('verify-lemma', '5', '--p-deg-bound', '13', '--n-bound', '11'),
+    ('verify-lemma', '5', '--n-bound', '125'),
+    ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '11'),
     ('verify-lemma', '8', '--h-bound', '601'),
     ('verify-lemma', '8', '--h-bound', '800'),
     ('certify', '0x' + 'f' * 5000),
@@ -225,6 +229,21 @@ def test_oversize_bounds_exit_2(capsys, argv):
     assert code == 2
     assert out == ''
     assert err.startswith('error: ')
+
+
+def test_closed_pipe_exits_quietly():
+    # as in `gf2perfect irreducibles --max-deg 16 | head -1`: the output
+    # overflows the pipe, and the reader closes it after one line
+    env = {**os.environ,
+           'PYTHONPATH': str(Path(gf2perfect.__file__).parents[1])}
+    with subprocess.Popen(
+            [sys.executable, '-c', 'from gf2perfect.cli import main; main()',
+             'irreducibles', '--max-deg', '16'],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b'x\n'
+        proc.stdout.close()
+        assert proc.stderr.read() == b''
+        assert proc.wait(timeout=60) not in (1, 2)
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -6,10 +6,10 @@ from gf2perfect import perfect
 from gf2perfect.canaday import verify_minimal_prime_parity
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import (
-    X, X1, degree, derivative, mul, parse, pow_, square, to_hex, translate,
+    X, X1, degree, derivative, mul, parse, pow_, square, translate,
 )
 from gf2perfect.perfect import (
-    C1, C2, C3, C4, C5, S1, T1, T2, Shape, _closure, _hit_shape,
+    C1, C2, C3, C4, C5, S1, T1, T2, _closure, _hit_record,
     exhaustive_search, is_perfect, odd_square_search, shape_search,
     trivial_perfect,
 )
@@ -115,7 +115,7 @@ def test_shape_search_finds_the_five(shape40):
     assert all(c.omega == 4 for c in shape40.perfects_found)
     assert all(c.parity is Parity.EVEN for c in shape40.perfects_found)
     assert all(verify_minimal_prime_parity(a) for a in shape40.found_polys())
-    tags = {shape40.found_shapes[a]['case_tag'] for a in shape40.found_polys()}
+    tags = {record['case_tag'] for record in shape40.found_shapes}
     assert tags == {'b', 'c', 'd'}
 
 
@@ -184,16 +184,10 @@ def test_valuation_pin_identities():
 def _oracle_report(oracle, bound, pbound, use_pruning):
     """found_polys, found_shapes and shapes_pruned from an oracle's hits."""
     _, pruned, hits = oracle(bound, pbound, use_pruning)
-    shapes = {}
-    for poly, h, k, l, m, p, q in sorted(hits):
-        shape = _hit_shape(h, k, l, m)
-        if shape.l != l:
-            p, q = q, p
-        shapes[poly] = {
-            'case_tag': shape.case_tag, 'h': h, 'k': k, 'l': shape.l,
-            'm': shape.m, 'p_hex': to_hex(p), 'q_hex': to_hex(q),
-        }
-    return sorted(shapes), shapes, pruned if use_pruning else {}
+    hits = sorted(hits)
+    return ([poly for poly, *_ in hits],
+            [_hit_record(h, k, p, l, q, m) for _, h, k, l, m, p, q in hits],
+            pruned if use_pruning else {})
 
 
 @pytest.mark.parametrize('bound, pbound, oracle', [
@@ -237,22 +231,29 @@ def test_shape_search_bad_bounds():
         shape_search(10, 0)
 
 
-def test_shape_validation():
-    Shape('a', 3, 5, 2, 4)
-    Shape('b', 1, 2, 2, 1)
-    Shape('c', 4, 4, 1, 1)
-    Shape('d', 6, 3, 1, 1)
-    Shape('e', 1, 1, 3, 7)
-    with pytest.raises(ValueError):
-        Shape('a', 1, 1, 1, 2)        # odd exponent under tag a
-    with pytest.raises(ValueError):
-        Shape('b', 1, 1, 6, 5)        # 6 is not a power of two
-    with pytest.raises(ValueError):
-        Shape('e', 2, 1, 1, 1)        # even exponent under tag e
-    with pytest.raises(ValueError):
-        Shape('z', 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        Shape('a', 1, 1, 0, 2)        # l must be positive
+def test_hit_record_tags_and_orientation():
+    p, q = 0b111, 0b1011
+
+    def tag_and_slots(*hit):
+        r = _hit_record(*hit)
+        return r['case_tag'], r['l'], r['m'], r['p_hex'], r['q_hex']
+
+    assert tag_and_slots(3, 5, p, 2, q, 4) == ('a', 2, 4, '0x7', '0xb')
+    assert tag_and_slots(3, 5, p, 4, q, 2) == ('a', 4, 2, '0x7', '0xb')
+    # tag b: the power of two takes the l slot, swapping when needed
+    assert tag_and_slots(1, 2, p, 2, q, 1) == ('b', 2, 1, '0x7', '0xb')
+    assert tag_and_slots(1, 2, p, 1, q, 2) == ('b', 2, 1, '0xb', '0x7')
+    # tags c, d, e: the Mersenne exponent takes the m slot
+    assert tag_and_slots(4, 4, p, 1, q, 1) == ('c', 1, 1, '0x7', '0xb')
+    assert tag_and_slots(6, 3, p, 5, q, 3) == ('d', 5, 3, '0x7', '0xb')
+    assert tag_and_slots(1, 1, p, 7, q, 5) == ('e', 5, 7, '0xb', '0x7')
+    assert _hit_record(1, 1, p, 3, q, 7) == {
+        'case_tag': 'e', 'h': 1, 'k': 1, 'l': 3, 'm': 7,
+        'p_hex': '0x7', 'q_hex': '0xb'}
+    with pytest.raises(ValueError, match='lemma11'):
+        _hit_record(1, 1, p, 6, q, 5)   # 6 is not a power of two
+    with pytest.raises(ValueError, match='lemma10'):
+        _hit_record(1, 1, p, 5, q, 5)   # neither 5 is Mersenne
 
 
 def test_odd_square_search_empty_and_rejections():
