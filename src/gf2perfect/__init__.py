@@ -1,8 +1,6 @@
 """Sum-of-divisors arithmetic and perfect-polynomial searches over GF(2)[x]."""
 
-from .factor import (
-    Factorization, factorize, irreducibles_up_to, is_irreducible,
-)
+from .factor import factorize, irreducibles_up_to, is_irreducible
 from .gf2poly import (
     Poly, PolyParseError, degree, divrem, gcd, is_self_inverse, mul, parse,
     pow_, reverse, to_hex, to_text, translate,

@@ -106,7 +106,7 @@ def verify_lemma5(p_deg_bound, n_bound):
 
     violations = []
     for p, n, fac in _sigma_even_powers(p_deg_bound, n_bound):
-        g = math.gcd(*(e for _, e in fac)) if fac.omega else 0
+        g = math.gcd(*(e for _, e in fac))
         if g >= 2:
             root = reduce(mul, (pow_(q, e // g) for q, e in fac), 1)
             violations.append({'p': p, 'n': n, 'root': root, 'power': g})
@@ -188,8 +188,8 @@ def verify_theorem8(h_bound):
         raise ValueError(f'h_bound must be <= {MAX_THEOREM8_H}')
     out = []
     for h in range(1, h_bound + 1):
-        fac = factorize(_ones(2 * h))
-        if all(special_form(q) is not None for q in fac.primes()):
+        if all(special_form(q) is not None
+               for q, _ in factorize(_ones(2 * h))):
             out.append(h)
     return out
 
@@ -200,11 +200,8 @@ def verify_minimal_prime_parity(a):
     "Minimal" is read as minimal degree among the prime factors of a;
     a is expected to be perfect (the caller checks).
     """
-    fac = factorize(a)
-    if fac.omega == 0:
-        return True
-    dmin = min(degree(q) for q in fac.primes())
-    return sum(1 for q in fac.primes() if degree(q) == dmin) % 2 == 0
+    degs = [degree(q) for q, _ in factorize(a)]
+    return degs.count(min(degs, default=0)) % 2 == 0
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ import signal
 import sys
 
 from . import canaday, perfect
-from .factor import factorize, irreducible_counts, irreducibles_up_to
+from .factor import (
+    factorize, factors_json, irreducible_counts, irreducibles_up_to,
+)
 from .gf2poly import PolyParseError, degree, parse, to_hex, to_text
 from .sigma import sigma
 
@@ -42,8 +44,8 @@ def _cert_line(c):
 def _cmd_factor(ns):
     fac = factorize(ns.poly)
     parts = (f'({to_text(q)})' + (f'^{e}' if e > 1 else '') for q, e in fac)
-    return _emit(fac.to_dict(), ns,
-                 [f'{to_text(ns.poly)} = ' + ' '.join(parts)])
+    return _emit({'poly_hex': to_hex(ns.poly), 'factors': factors_json(fac)},
+                 ns, [f'{to_text(ns.poly)} = ' + ' '.join(parts)])
 
 
 def _cmd_sigma(ns):

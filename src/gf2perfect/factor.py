@@ -10,7 +10,6 @@ The tests check both against trial division, Rabin's criterion and the
 distinct-degree and equal-degree splitting kept in the test oracles.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2poly import X, X1, degree, derivative, divexact, gcd, sqrt, to_hex
@@ -18,34 +17,6 @@ from .gf2poly import X, X1, degree, derivative, divexact, gcd, sqrt, to_hex
 # irreducibles_up_to lists the primes of degree <= _NUMPY_FREE_DEG by
 # testing each candidate, so small bounds never import numpy
 _NUMPY_FREE_DEG = 10
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Multiset of (irreducible, exponent) pairs in ascending prime order."""
-
-    value: int
-    factors: tuple
-
-    @property
-    def omega(self):
-        """Number of distinct irreducible factors."""
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def primes(self):
-        """The distinct irreducible factors, ascending."""
-        return [p for p, _ in self.factors]
-
-    def to_dict(self):
-        """JSON-friendly form with hex primes."""
-        return {
-            'poly_hex': to_hex(self.value),
-            'factors': [{'prime_hex': to_hex(p), 'exp': e}
-                        for p, e in self.factors],
-        }
 
 
 def is_irreducible(p):
@@ -110,12 +81,18 @@ def irreducible_counts(max_deg):
 
 
 def factorize(p):
-    """Complete factorization of a nonzero polynomial."""
-    if p == 0:
-        raise ValueError('cannot factor the zero polynomial')
+    """Complete factorization of a nonzero polynomial p (an int > 0): the
+    sorted tuple of its (prime, exponent) pairs, () for p = 1."""
+    if p <= 0:
+        raise ValueError(f'expected a nonzero polynomial, an int > 0: {p}')
     counts = {}
     _factor_general(p, 1, counts)
-    return Factorization(p, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
+
+
+def factors_json(fac):
+    """JSON form of (prime, exponent) pairs, with hex primes."""
+    return [{'prime_hex': to_hex(q), 'exp': e} for q, e in fac]
 
 
 def _factor_general(p, mult, counts):

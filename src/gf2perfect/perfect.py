@@ -25,23 +25,24 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .factor import (
-    MAX_IRREDUCIBLES_DEG, Factorization, factorize, irreducible_counts,
+    MAX_IRREDUCIBLES_DEG, factorize, factors_json, irreducible_counts,
 )
 from .gf2poly import (
     X, X1, degree, mul, parse, pow_, square, to_hex, to_text, translate,
 )
 from .sigma import (
-    _BLOCK, Parity, _spread, parity, sigma_of_factorization,
-    sigma_prime_power, sigma_square_table, sigma_table,
+    Parity, fixed_points, parity, sigma_of_factorization, sigma_prime_power,
+    square_fixed_points,
 )
 
 
 @dataclass(frozen=True)
 class PerfectCertificate:
-    """Verdict sigma(poly) == poly together with the factorization of poly."""
+    """Verdict sigma(poly) == poly together with the factorization of
+    poly, its sorted (prime, exponent) pairs."""
 
     poly: int
-    factorization: Factorization
+    factorization: tuple
     is_perfect: bool
     parity: Parity
     omega: int
@@ -51,7 +52,7 @@ class PerfectCertificate:
             'poly_hex': to_hex(self.poly),
             'poly_text': to_text(self.poly),
             'degree': degree(self.poly),
-            'factors': self.factorization.to_dict()['factors'],
+            'factors': factors_json(self.factorization),
             'perfect': self.is_perfect,
             'parity': self.parity.value,
             'omega': self.omega,
@@ -97,15 +98,13 @@ class SearchReport:
 
 def is_perfect(a):
     """Certify whether sigma(a) = a, for nonzero a."""
-    if a == 0:
-        raise ValueError('perfection of the zero polynomial is undefined')
     fac = factorize(a)
     return PerfectCertificate(
         poly=a,
         factorization=fac,
         is_perfect=sigma_of_factorization(fac) == a,
         parity=parity(a),
-        omega=fac.omega,
+        omega=len(fac),
     )
 
 
@@ -153,39 +152,19 @@ def exhaustive_search(max_deg):
 
     The fixed points of the bulk sigma table are found in ascending
     bitmask order; sigma(1) = 1 is trivial, so constants are not
-    candidates.
+    candidates: candidates_examined is 2^(max_deg+1) - 2.
     """
     if max_deg < 1:
         raise ValueError('max_deg must be >= 1')
     if max_deg > MAX_EXHAUSTIVE_DEG:
         raise ValueError(f'max_deg must be <= {MAX_EXHAUSTIVE_DEG}')
-    table = sigma_table(max_deg)
-    certs = [is_perfect(a) for a in _fixed_points(table, lambda a: a)
-             if a >= 2]
     return SearchReport(
         kind='exhaustive',
         degree_bound=max_deg,
         config={'max_deg': max_deg},
-        candidates_examined=len(table) - 2,
-        perfects_found=certs,
+        candidates_examined=(2 << max_deg) - 2,
+        perfects_found=[is_perfect(a) for a in fixed_points(max_deg)],
     )
-
-
-def _fixed_points(table, image):
-    """The indices i, ascending, with table[i] == image(i).
-
-    image maps an array of indices to the values wanted there.  The scan
-    runs block by block, so no table-sized index or mask is built.
-    """
-    import numpy as np
-
-    ramp = np.arange(_BLOCK, dtype=table.dtype)
-    found = []
-    for lo in range(0, len(table), _BLOCK):
-        part = table[lo:lo + _BLOCK]
-        hits = np.flatnonzero(part == image(ramp[:len(part)] + lo))
-        found.extend((hits + lo).tolist())
-    return found
 
 
 def _classify_pattern(l, m):
@@ -252,7 +231,7 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
 
     @lru_cache(maxsize=None)
     def sigma_primes(p, e):
-        return factorize(sigma_prime_power(p, e)).factors
+        return factorize(sigma_prime_power(p, e))
 
     def visit(dec, need, used):
         nonlocal states
@@ -387,11 +366,10 @@ def odd_square_search(max_deg):
     """Look for odd perfect A of degree <= max_deg; each is a square B^2.
 
     A perfect A coprime to x^2+x has even exponents only (see the module
-    docstring), so A = B^2 with x not dividing B.  Entry i of
-    sigma_square_table(max_deg / 2) holds sigma(B^2) for B = 2i+1, so
-    its fixed points other than B = 1 are all the odd perfect
-    polynomials in range.  candidates_examined counts every B != 1
-    coprime to x of degree <= max_deg / 2, squarefree or not, and
+    docstring), so A = B^2 with x not dividing B.  The B != 1 with
+    sigma(B^2) = B^2, square_fixed_points(max_deg / 2), give every odd
+    perfect polynomial in range.  candidates_examined counts every
+    B != 1 coprime to x of degree <= max_deg / 2, squarefree or not, and
     divisible by x+1 or not: 2^(max_deg/2) - 1.  Every find is
     certified.
     """
@@ -399,13 +377,12 @@ def odd_square_search(max_deg):
         raise ValueError('max_deg must be even (candidates are squares)')
     if not 2 <= max_deg <= MAX_ODD_SQUARE_DEG:
         raise ValueError(f'max_deg must be in 2..{MAX_ODD_SQUARE_DEG}')
-    table = sigma_square_table(max_deg // 2)
-    found = _fixed_points(table, lambda i: _spread(2 * i + 1))
+    half = max_deg // 2
     return SearchReport(
         kind='odd-square',
         degree_bound=max_deg,
         config={'max_deg': max_deg},
-        candidates_examined=len(table) - 1,
-        perfects_found=[is_perfect(square(2 * i + 1)) for i in found
-                        if i >= 1],
+        candidates_examined=(1 << half) - 1,
+        perfects_found=[is_perfect(square(b))
+                        for b in square_fixed_points(half)],
     )

@@ -8,7 +8,9 @@ out.
 The bulk tables sigma_table (sigma(a) for every a up to a degree) and
 sigma_square_table (sigma(B^2) for every B coprime to x) share one
 round loop over the odd-only smallest-factor sieve, built on the
-recurrence below with P or P^2 as the step.
+recurrence below with P or P^2 as the step.  fixed_points and
+square_fixed_points scan them for the a with sigma(a) = a and the B
+with sigma(B^2) = B^2.
 
 Characteristic-2 prime-power identities, each tested against that path:
 
@@ -33,13 +35,15 @@ class Parity(Enum):
 
 
 def sigma_prime_power(p, n):
-    """1 + p + ... + p^n for nonzero p: (p^(n+1) + 1) / (p + 1).
+    """1 + p + ... + p^n for nonzero p and n >= 0: (p^(n+1) + 1) / (p + 1).
 
     p + 1 itself for n = 1, the common case in a factorization, and
     (n + 1) mod 2 for p = 1, where p + 1 = 0.
     """
-    if p == 0:
-        raise ValueError('sigma of a power of the zero polynomial')
+    if p <= 0:
+        raise ValueError(f'expected a nonzero polynomial, an int > 0: {p}')
+    if n < 0:
+        raise ValueError('negative exponent')
     if p == 1:
         return (n + 1) & 1
     if n == 1:
@@ -53,7 +57,7 @@ def sigma(a):
 
 
 def sigma_of_factorization(fac):
-    """sigma from an existing Factorization."""
+    """sigma from (prime, exponent) pairs, such as factorize returns."""
     return reduce(mul, (sigma_prime_power(p, e) for p, e in fac), 1)
 
 
@@ -110,6 +114,37 @@ def sigma_square_table(max_deg):
     max_deg <= 31.
     """
     return _odd_rounds(max_deg, square=True)
+
+
+def fixed_points(max_deg):
+    """The a >= 2 of degree <= max_deg with sigma(a) = a, ascending."""
+    return [a for a in _fixed_indices(sigma_table(max_deg), lambda i: i)
+            if a >= 2]
+
+
+def square_fixed_points(max_deg):
+    """The B != 1 coprime to x, of degree <= max_deg, with sigma(B^2) =
+    B^2, ascending; entry i of sigma_square_table is B = 2i+1."""
+    table = sigma_square_table(max_deg)
+    found = _fixed_indices(table, lambda i: _spread(2 * i + 1))
+    return [2 * i + 1 for i in found if i >= 1]
+
+
+def _fixed_indices(table, image):
+    """The indices i, ascending, with table[i] == image(i).
+
+    image maps an array of indices to the values wanted there.  The scan
+    runs block by block, so no table-sized index or mask is built.
+    """
+    import numpy as np
+
+    ramp = np.arange(_BLOCK, dtype=table.dtype)
+    found = []
+    for lo in range(0, len(table), _BLOCK):
+        part = table[lo:lo + _BLOCK]
+        hits = np.flatnonzero(part == image(ramp[:len(part)] + lo))
+        found.extend((hits + lo).tolist())
+    return found
 
 
 def _odd_rounds(max_deg, square):

@@ -509,7 +509,7 @@ def odd_square_search_factoring(max_deg):
             continue  # not odd, or not squarefree
         examined += 1
         a = square(b)
-        if sigma_of_factorization((p, 2) for p in factorize(b).primes()) == a:
+        if sigma_of_factorization((p, 2) for p, _ in factorize(b)) == a:
             certs.append(is_perfect(a))
     return SearchReport(
         kind='odd-square',
@@ -522,7 +522,7 @@ def odd_square_search_factoring(max_deg):
 
 
 def product_of_powers(pairs):
-    """The product of p^e over (p, e) pairs, such as a Factorization."""
+    """The product of p^e over (p, e) pairs, such as factorize returns."""
     return reduce(mul, (pow_(p, e) for p, e in pairs), 1)
 
 

@@ -80,6 +80,13 @@ S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
     ('sigma.json', ['--format', 'json', 'sigma', '0xdeadbeefcafe1']),
     ('certify.txt', ['certify', S1_TEXT]),
     ('certify.json', ['--format', 'json', 'certify', S1_TEXT]),
+    ('factor.json', ['--format', 'json', 'factor',
+                     'x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)']),
+    ('search_d12.json', ['--format', 'json', 'search', '--max-deg', '12']),
+    ('odd_square_search_d28.json',
+     ['--format', 'json', 'odd-square-search', '--max-deg', '28']),
+    ('shape_search_24_6.json', ['--format', 'json', 'shape-search',
+                                '--deg-bound', '24', '--p-deg-bound', '6']),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = invoke(capsys, *argv)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gf2perfect import perfect
+import gf2perfect.sigma as sigma_module
 from gf2perfect.canaday import verify_minimal_prime_parity
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import (
@@ -36,8 +36,9 @@ def test_is_perfect_examples():
     cert = is_perfect(0b1000)
     assert not cert.is_perfect
     assert sigma(0b1000) == pow_(0b11, 3)
-    with pytest.raises(ValueError):
-        is_perfect(0)
+    for a in (0, -1, -3):
+        with pytest.raises(ValueError):
+            is_perfect(a)
 
 
 def test_certificate_fields():
@@ -45,7 +46,7 @@ def test_certificate_fields():
     assert cert.poly == C1
     assert cert.omega == 4
     assert cert.parity is Parity.EVEN
-    assert cert.factorization.value == C1
+    assert product_of_powers(cert.factorization) == C1
     d = cert.to_dict()
     assert d['perfect'] and d['omega'] == 4 and d['degree'] == 11
     assert d['poly_hex'] == hex(C1)
@@ -281,9 +282,9 @@ def test_odd_square_search_matches_factoring_oracle():
 def test_odd_square_search_reports_each_fixed_point(monkeypatch):
     # no odd perfect polynomial is in range, so plant a fixed point at
     # B = x^3+x+1 (entry 5); B = 1, the trivial one, is not reported
-    table = perfect.sigma_square_table(4)
+    table = sigma_module.sigma_square_table(4)
     table[5] = square(11)
-    monkeypatch.setattr(perfect, 'sigma_square_table', lambda d: table)
+    monkeypatch.setattr(sigma_module, 'sigma_square_table', lambda d: table)
     report = odd_square_search(8)
     assert report.found_polys() == [square(11)]
     assert not report.perfects_found[0].is_perfect

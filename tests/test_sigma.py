@@ -7,7 +7,8 @@ import gf2perfect.sigma as sigma_module
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_, square
 from gf2perfect.sigma import (
-    Parity, parity, sigma, sigma_prime_power, sigma_square_table, sigma_table,
+    Parity, fixed_points, parity, sigma, sigma_prime_power,
+    sigma_square_table, sigma_table, square_fixed_points,
 )
 from oracles import sigma_bruteforce, sigma_naive, sigma_table_list
 
@@ -29,8 +30,12 @@ def test_sigma_prime_power_examples():
     assert sigma_prime_power(0b111, 0) == 1
     assert sigma_prime_power(1, 2) == 1  # 1 + 1 + 1
     assert sigma_prime_power(1, 3) == 0
-    with pytest.raises(ValueError):
-        sigma_prime_power(0, 2)
+    for p in (0, -3):
+        with pytest.raises(ValueError):
+            sigma_prime_power(p, 2)
+    for p, n in ((0b111, -1), (1, -1), (1, -2)):
+        with pytest.raises(ValueError, match='negative exponent'):
+            sigma_prime_power(p, n)
 
 
 def test_sigma_prime_power_matches_horner():
@@ -48,8 +53,9 @@ def test_sigma_examples():
     assert sigma(0b110) == 0b110
     assert sigma(C1) == C1
     assert sigma(0b1000) == pow_(0b11, 3)  # sigma(x^3)
-    with pytest.raises(ValueError):
-        sigma(0)
+    for a in (0, -1, -3):
+        with pytest.raises(ValueError):
+            sigma(a)
 
 
 def test_parity_examples():
@@ -185,6 +191,33 @@ def test_sigma_table_memory_is_tables_plus_fixed_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * table.nbytes
+
+
+def test_fixed_point_scans_across_blocks(monkeypatch):
+    # with 8-entry blocks the scans cross many block boundaries; fixed
+    # points planted at both ends of a block are found, B = 1 is not
+    monkeypatch.setattr(sigma_module, '_BLOCK', 8)
+    assert fixed_points(12) == [a for a in range(2, 1 << 13)
+                                if sigma(a) == a]
+    table = sigma_square_table(5)
+    for i in (0, 7, 8, 31):  # B = 2i+1
+        table[i] = square(2 * i + 1)
+    monkeypatch.setattr(sigma_module, 'sigma_square_table', lambda d: table)
+    assert square_fixed_points(5) == [15, 17, 63]
+
+
+def test_fixed_point_scan_allocates_no_table_sized_buffer(monkeypatch):
+    # the scan reads the table block by block; a table-sized bool mask
+    # alone would take a quarter of the uint32 table, an index all of it
+    table = sigma_table(20)
+    monkeypatch.setattr(sigma_module, 'sigma_table', lambda d: table)
+    tracemalloc.start()
+    try:
+        fixed_points(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * table.nbytes
 
 
 def test_sigma_naive_agrees_with_trial_division_walk():
