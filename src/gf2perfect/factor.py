@@ -22,27 +22,24 @@ _NUMPY_FREE_DEG = 10
 def is_irreducible(p):
     """Berlekamp's test: p is prime iff it is squarefree and the kernel
     of Q - I, whose dimension is the number of its prime factors, is
-    the constants alone."""
-    d = degree(p)
-    if d < 1:
+    the constants alone.
+
+    x and x+1 pass it like any other prime, and a multiple of x of
+    degree >= 2 fails it, being either not squarefree or a product of
+    at least two primes.  A negative p raises ValueError from gcd.
+    """
+    if degree(p) < 1:
         raise ValueError('irreducibility is undefined for constants')
-    if d == 1:
-        return True
-    if p & 1 == 0:  # divisible by x
-        return False
     # gcd(p, p') == 1 iff p is squarefree
     return gcd(p, derivative(p)) == 1 and len(_berlekamp_kernel(p)) == 1
 
 
 @lru_cache(maxsize=None)
 def _irreducibles_up_to(d):
-    out = [X, X1]
-    for n in range(2, d + 1):
-        for c in range((1 << n) | 1, 1 << (n + 1), 2):
-            # skip multiples of x+1 (even weight) before the full test
-            if (c.bit_count() & 1) and is_irreducible(c):
-                out.append(c)
-    return tuple(out)
+    # x, x+1, then the odd candidates that pass the full test, skipping
+    # multiples of x+1 (even weight) before it
+    return (X, X1) + tuple(c for c in range(5, 2 << d, 2)
+                           if c.bit_count() & 1 and is_irreducible(c))
 
 
 # Above _NUMPY_FREE_DEG the primes come from the sieve (0.05-0.14 s at

@@ -9,6 +9,11 @@ every operation here is a pure function and safe to share across threads.
 Addition is xor.  degree(0) is the sentinel -1 (distinct from the
 degree-0 constant 1).  All nonzero polynomials over GF(2) are monic.
 
+mul, divrem, rem, gcd and translate raise ValueError for a negative
+int, with one check per call outside their loops; divexact, and pow_
+for e >= 1, raise through them.  The other functions assume ints >= 0
+and do not check.
+
 Two textual forms round-trip bit-exactly:
 
 - sum form, descending: "x^4+x+1"
@@ -34,6 +39,8 @@ def mul(p, q):
     """Carryless (GF(2)) product of p and q."""
     if p < q:
         p, q = q, p
+    if q < 0:
+        raise ValueError(f'expected a polynomial, an int >= 0: {q}')
     # shift-and-xor over the bits of the smaller operand
     r = 0
     while q:
@@ -53,6 +60,8 @@ def divrem(p, d):
     """Quotient and remainder of p by d, with degree(r) < degree(d)."""
     if d == 0:
         raise ZeroDivisionError('division by zero polynomial')
+    if p < 0 or d < 0:
+        raise ValueError(f'expected polynomials, ints >= 0: {p}, {d}')
     n = d.bit_length()
     q = 0
     s = p.bit_length() - n
@@ -77,6 +86,8 @@ def rem(p, d):
     """Remainder of p modulo d."""
     if d == 0:
         raise ZeroDivisionError('division by zero polynomial')
+    if p < 0 or d < 0:
+        raise ValueError(f'expected polynomials, ints >= 0: {p}, {d}')
     n = d.bit_length()
     s = p.bit_length() - n
     while s >= 0:
@@ -87,6 +98,8 @@ def rem(p, d):
 
 def gcd(p, q):
     """Greatest common divisor; monic like every nonzero GF(2) poly."""
+    if p < 0 or q < 0:
+        raise ValueError(f'expected polynomials, ints >= 0: {p}, {q}')
     if p == 0 and q == 0:
         raise ValueError('gcd(0, 0) is undefined')
     # Euclid with rem inlined: the per-step call dominates at these degrees
@@ -115,6 +128,8 @@ def pow_(p, e):
 
 def translate(p):
     """Compose with x+1: return p(x+1).  An involution."""
+    if p < 0:
+        raise ValueError(f'expected a polynomial, an int >= 0: {p}')
     # p(x+1) = xor of (x+1)^i over the set bits i of p
     r = 0
     t = 1

@@ -46,6 +46,10 @@ def sigma_prime_power(p, n):
         raise ValueError('negative exponent')
     if p == 1:
         return (n + 1) & 1
+    # the division below gives the same p + 1, but this return is
+    # faster: without it the certify-mix stream's 1,500 is_perfect calls
+    # took 0.38-0.40 s in-process against 0.33-0.34 s, 15-16% slower in
+    # each of 3 alternating pairs (2-CPU Xeon VM)
     if n == 1:
         return p ^ 1
     return divexact(pow_(p, n + 1) ^ 1, p ^ 1)
@@ -67,16 +71,16 @@ def parity(a):
     x divides a iff its constant term is 0, and x+1 divides a iff a(1) =
     0, i.e. a has an even number of terms.
     """
-    if a == 0:
-        raise ValueError('parity of the zero polynomial is undefined')
+    if a <= 0:
+        raise ValueError(f'expected a nonzero polynomial, an int > 0: {a}')
     if a & 1 == 0 or a.bit_count() % 2 == 0:
         return Parity.EVEN
     return Parity.ODD
 
 
-# Entries per block of a round.  Every temporary of a round is
-# block-sized, so the working set is the tables plus a few fixed buffers
-# whatever max_deg is.
+# Entries per block of a round.  Every temporary of a round is at most
+# block-sized, so the working set is the tables plus a few block-sized
+# arrays whatever max_deg is.
 _BLOCK = 1 << 15
 
 
@@ -160,42 +164,32 @@ def _odd_rounds(max_deg, square):
     f(b) + q (f(b) + f(b // p)).  One round per degree d fills the a of
     degree d; b and b // p are odd and of lower degree, so a round
     reads only finished entries.  Each round gathers through the
-    odd-only sieve in blocks of _BLOCK entries that reuse the same
-    buffers.
+    odd-only sieve in blocks of _BLOCK entries, and every temporary is
+    a fresh array of at most one block.
     """
     import numpy as np
 
     spf, quot = smallest_factor_tables(max_deg)
     # f(1) = 1; the rounds fill the rest
     t = np.ones(len(spf), dtype=np.uint64 if square else np.uint32)
-    n = min(_BLOCK, len(spf))
-    s_buf, v_buf, m_buf, w_buf = (np.empty(n, t.dtype) for _ in range(4))
-    h_buf, g_buf = (np.empty(n, dtype=np.uint32) for _ in range(2))
     for d in range(1, max_deg + 1):
         # odd a = 2i+1 of degree d, for i in [2^(d-1), 2^d)
-        for i in range(1 << (d - 1), 1 << d, n):
-            j = min(i + n, 1 << d)
-            k = j - i
+        for i in range(1 << (d - 1), 1 << d, _BLOCK):
+            j = min(i + _BLOCK, 1 << d)
             p = spf[i:j]
-            h = np.right_shift(quot[i:j], 1, out=h_buf[:k])  # b = 2h+1
-            s = np.bitwise_xor(p, 1, out=s_buf[:k])
-            if square:
-                s ^= _spread(p)
-            fb = np.take(t, h, out=v_buf[:k])
+            h = quot[i:j] >> 1  # b = 2h+1
+            s = (_spread(p) ^ p ^ 1) if square else p ^ 1
+            fb = t[h]
             # deg f(p) + deg f(b) = deg f(a), so the smaller has at most
             # half that degree
-            mn = np.minimum(s, fb, out=m_buf[:k])
-            np.maximum(s, fb, out=s)
-            out = _clmul(mn, s, t[i:j], w_buf[:k])
+            t[i:j] = _clmul(np.minimum(s, fb), np.maximum(s, fb))
             # where p also divides b (never for b = 1, since spf[0] = 0);
             # then p^2 divides a, so q has at most half the degree of f(a)
-            ext = np.flatnonzero(np.take(spf, h, out=g_buf[:k]) == p)
-            e = ext.size
+            ext = np.flatnonzero(spf[h] == p)
             q = _spread(p[ext]) if square else p[ext]
             fe = fb[ext]
-            g = np.take(t, quot[h[ext]] >> 1, out=m_buf[:e])  # f(b // p)
-            g ^= fe
-            out[ext] = _clmul(q, g, s_buf[:e], w_buf[:e]) ^ fe
+            # f(b // p) sits at entry quot[h] >> 1
+            t[i + ext] = _clmul(q, t[quot[h[ext]] >> 1] ^ fe) ^ fe
     return t
 
 
@@ -211,18 +205,19 @@ def _spread(x):
     return x
 
 
-def _clmul(x, y, out, t):
-    """Elementwise carryless product of unsigned arrays x, y into out.
+def _clmul(x, y):
+    """Elementwise carryless product of unsigned arrays x and y.
 
     One pass per bit of the largest x, so callers pass as x an operand
     of degree at most half the product's: (x & 2^i) * y is y << i when
-    bit i of x is set and 0 otherwise.  t is a scratch buffer of the
-    same length; out and t have the dtype of y (uint32 or uint64) and
-    products must fit in it.  Returns out.
+    bit i of x is set and 0 otherwise.  The result and the one scratch
+    array are fresh, with the dtype of y (uint32 or uint64), and
+    products must fit in it.
     """
     import numpy as np
 
-    out.fill(0)
+    out = np.zeros_like(y)
+    t = np.empty_like(y)
     for i in range(int(x.max(initial=0)).bit_length()):
         np.bitwise_and(x, 1 << i, out=t)
         t *= y

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +64,35 @@ def test_gcd_examples():
     with pytest.raises(ValueError):
         gcd(0, 0)
     assert gcd(0, 6) == 6
+
+
+NEGATIVE_PROBE = '''
+import sys
+sys.path.insert(0, sys.argv[1])
+from gf2perfect.gf2poly import divexact, divrem, gcd, mul, pow_, rem, translate
+from gf2perfect.factor import is_irreducible
+from gf2perfect.sigma import parity
+try:
+    r = eval(sys.argv[2])
+except ValueError:
+    pass
+else:
+    sys.exit(f'{sys.argv[2]} returned {r!r}')
+'''
+
+
+@pytest.mark.parametrize('call', [
+    'mul(-3, 1)', 'mul(5, -3)', 'gcd(-3, 1)', 'gcd(7, -3)', 'divrem(-3, 1)',
+    'divrem(7, -3)', 'rem(-3, 1)', 'rem(7, -3)', 'divexact(-3, 1)',
+    'translate(-3)', 'pow_(-3, 2)', 'parity(-3)', 'is_irreducible(-3)',
+    'is_irreducible(-2)',
+])
+def test_negative_operands_raise(call):
+    # a fresh interpreter with a timeout, so a kernel that loops forever
+    # on a negative int fails here instead of hanging the suite
+    src = Path(__file__).resolve().parents[1] / 'src'
+    subprocess.run([sys.executable, '-c', NEGATIVE_PROBE, str(src), call],
+                   capture_output=True, check=True, timeout=10)
 
 
 def test_pow_examples():

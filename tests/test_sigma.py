@@ -193,6 +193,21 @@ def test_sigma_table_memory_is_tables_plus_fixed_buffers():
     assert peak <= 2.25 * table.nbytes
 
 
+def test_sigma_square_table_memory_is_tables_plus_block_temporaries():
+    # the rounds hold the sieve's two uint32 tables and the uint64 result
+    # (2x the result together) plus block-sized temporaries (2.93x in
+    # all at degree 18); one round-sized uint64 temporary, half the
+    # result at the last round, pushes the peak past 3.25x
+    sigma_square_table(16)  # keep one-off allocations out
+    tracemalloc.start()
+    try:
+        table = sigma_square_table(18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * table.nbytes
+
+
 def test_fixed_point_scans_across_blocks(monkeypatch):
     # with 8-entry blocks the scans cross many block boundaries; fixed
     # points planted at both ends of a block are found, B = 1 is not
