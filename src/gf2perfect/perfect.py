@@ -9,11 +9,11 @@ A polynomial A is perfect when sigma(A) = A.  Three search strategies:
   it decides each prime that some decided sigma(p^e) needs, so only
   primes that can divide a perfect A are ever tried.  It optionally
   skips exponent patterns that the classical structure lemmas exclude;
-- odd_square_search reads the fixed points of a table of sigma(B^2)
-  over every B coprime to x.  That covers every odd perfect
-  polynomial: a prime P of an odd A has P(0) = P(1) = 1, so for odd e,
-  x divides P + 1, which divides sigma(P^e); as x cannot divide
-  sigma(A) = A, every exponent is even and A = B^2 with x not dividing B.
+- odd_square_search runs the same closure engine from each possible
+  least prime of an odd perfect polynomial.  A prime P of an odd A has
+  P(0) = P(1) = 1, so for odd e, x divides P + 1, which divides
+  sigma(P^e); as x cannot divide sigma(A) = A, every exponent is even
+  and A = B^2 with x not dividing B.
 
 Every search certifies its finds and reports them as
 PerfectCertificate values inside a SearchReport.
@@ -26,13 +26,13 @@ from math import comb
 
 from .factor import (
     MAX_IRREDUCIBLES_DEG, factorize, factors_json, irreducible_counts,
+    irreducibles_up_to,
 )
 from .gf2poly import (
-    X, X1, degree, mul, parse, pow_, square, to_hex, to_text, translate,
+    X, X1, degree, mul, parse, pow_, to_hex, to_text, translate,
 )
 from .sigma import (
     Parity, fixed_points, parity, sigma_of_factorization, sigma_prime_power,
-    square_fixed_points,
 )
 
 
@@ -211,15 +211,19 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
 
     A state holds decided prime powers dec and the multiset need of the
     primes of their sigmas; every prime of a perfect A is needed, since
-    sigma(P^e) = 1 mod P.  From each seed dict {prime: exp}, the lowest
-    pending (needed, undecided) prime is decided at each exponent from
-    its need up to the degree budget.  A state is pruned when need[q] >
-    dec[q] for a decided q, when more than max_omega primes are in
-    play, when a pending prime has degree above p_deg_bound, or when the
-    decided degree plus the pending minimum exceeds deg_bound.  With
-    prune, a second odd prime is not decided at e beside one at l when
-    _classify_pattern(l, e) names a lemma (sound only if no closure
-    holds three odd primes).
+    sigma(P^e) = 1 mod P.  Each seed dict {prime: exp} names the least
+    prime of the A sought, min(seed): a seed or child whose sigma has a
+    prime below it is skipped.  When that least prime is not x, every
+    exponent is even, since x | q + 1 | sigma(q^e) for a prime q != x
+    and odd e.  From each seed, the lowest pending (needed, undecided)
+    prime is decided at each exponent from its need (rounded up to
+    even when exponents are even) up to the degree budget.  A state is
+    pruned when need[q] > dec[q] for a decided q, when more than
+    max_omega primes are in play, when a pending prime has degree above
+    p_deg_bound, or when the decided degree plus the pending minimum
+    exceeds deg_bound.  With prune, a second odd prime is not decided
+    at e beside one at l when _classify_pattern(l, e) names a lemma
+    (sound only if no closure holds three odd primes).
 
     A closed state (nothing pending) is perfect: need <= dec, and
     deg sigma(p^e) = e deg p makes their degrees equal, so need == dec.
@@ -250,21 +254,37 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
         d = degree(low)
         odd = [e for q, e in dec.items() if degree(q) >= 2]
         paired = prune and d >= 2 and len(odd) == 1
-        for e in range(need[low], need[low] + (deg_bound - rest) // d + 1):
+        n = need[low]
+        for e in range(n + n % step, n + (deg_bound - rest) // d + 1, step):
             if paired and _classify_pattern(odd[0], e) is not None:
                 continue
+            primes = sigma_primes(low, e)
+            if primes[0][0] < least:
+                continue
             child = dict(need)
-            for q, n in sigma_primes(low, e):
-                child[q] = child.get(q, 0) + n
+            for q, m in primes:
+                child[q] = child.get(q, 0) + m
             visit({**dec, low: e}, child, used + e * d)
 
     for seed in seeds:
+        least = min(seed)
+        step = 1 if least == X else 2
         need = {}
         for p, e in seed.items():
-            for q, n in sigma_primes(p, e):
+            primes = sigma_primes(p, e)
+            if primes[0][0] < least:
+                break
+            for q, n in primes:
                 need[q] = need.get(q, 0) + n
-        visit(seed, need, sum(e * degree(p) for p, e in seed.items()))
+        else:
+            visit(seed, need, sum(e * degree(p) for p, e in seed.items()))
     return states, closed
+
+
+def _folded(closed):
+    """Closed states as (polynomial, dec) pairs, ascending."""
+    return sorted((reduce(mul, (pow_(p, e) for p, e in dec.items()), 1), dec)
+                  for dec in closed)
 
 
 def _pruned_tally(deg_bound, p_deg_bound):
@@ -333,8 +353,7 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
         ({X: h, X1: k} for h in range(1, top) for k in range(1, top - h + 1)),
         deg_bound, p_deg_bound, 4, use_pruning)
     # x and x+1 are always decided, so four primes means two odd ones
-    hits = sorted((reduce(mul, (pow_(p, e) for p, e in dec.items()), 1), dec)
-                  for dec in closed if len(dec) == 4)
+    hits = _folded(dec for dec in closed if len(dec) == 4)
     certs = []
     found_shapes = []
     for poly, dec in hits:
@@ -354,35 +373,48 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
     )
 
 
-# The sigma(B^2) table holds 2^(max_deg/2) uint64 entries beside the
-# sieve's two uint32 tables of the same length, so time and memory
-# double every 2 degrees: on a 2-CPU Xeon VM the CLI takes 0.3 s at 40
-# and 3.0 s and 312 MB at 48; the table for degree 52 took 11 s and
-# 1,054 MB in-process.
-MAX_ODD_SQUARE_DEG = 48
+# The cost is factoring the seeds' sigma(P^e), and about 8 in 9 seeds
+# die at that first factorization, on a prime below P.  On a 2-CPU Xeon
+# VM the CLI takes 0.2 s and 16 MB at 48, 1.6 s at 84, 3.7-4.2 s at 96
+# and 4.9-5.2 s and 43 MB at 100; at 102 the primes of degree 17 enter
+# as seeds, and it takes 10.6 s and 56 MB.
+MAX_ODD_SQUARE_DEG = 100
 
 
 def odd_square_search(max_deg):
-    """Look for odd perfect A of degree <= max_deg; each is a square B^2.
+    """Look for odd perfect A of degree <= max_deg by closures from P.
 
-    A perfect A coprime to x^2+x has even exponents only (see the module
-    docstring), so A = B^2 with x not dividing B.  The B != 1 with
-    sigma(B^2) = B^2, square_fixed_points(max_deg / 2), give every odd
-    perfect polynomial in range.  candidates_examined counts every
-    B != 1 coprime to x of degree <= max_deg / 2, squarefree or not, and
-    divisible by x+1 or not: 2^(max_deg/2) - 1.  Every find is
-    certified.
+    Let A be odd and perfect, so every exponent is even (see the module
+    docstring) and A = B^2 with x not dividing B, and let P be its least
+    prime.  The closure R of P in A, its prime powers reached from P
+    through the primes of their sigmas, is perfect: sigma(R) divides
+    sigma(A) = A and has only primes of R, so it divides R, and the
+    degrees agree.  Its primes are all >= P, at even exponents >= 2,
+    and omega(R) >= 3: one prime fails as sigma(P^e) = 1 mod P, two by
+    the derivative argument of shape_search.  So 6 deg P <= deg A.  The
+    search runs _closure from {P: e} for every odd prime P of degree
+    <= max_deg / 6 and every even e with e deg P <= max_deg; following
+    R's exponents, it closes on R.  No closed state means no odd
+    perfect polynomial in range, and every closed state is certified
+    and reported.
+
+    candidates_examined counts the B != 1 coprime to x of degree
+    <= max_deg / 2, squarefree or not, and divisible by x+1 or not:
+    2^(max_deg/2) - 1.  The argument settles each of them, since B^2
+    is perfect only if odd: its exponents are even, so sigma(B^2) takes
+    the value 1 at 1 and x+1 does not divide it.
     """
     if max_deg % 2 != 0:
         raise ValueError('max_deg must be even (candidates are squares)')
     if not 2 <= max_deg <= MAX_ODD_SQUARE_DEG:
         raise ValueError(f'max_deg must be in 2..{MAX_ODD_SQUARE_DEG}')
-    half = max_deg // 2
+    seeds = ({p: e} for p in irreducibles_up_to(max(max_deg // 6, 1))[2:]
+             for e in range(2, max_deg // degree(p) + 1, 2))
+    _, closed = _closure(seeds, max_deg, max_deg, max_deg)
     return SearchReport(
         kind='odd-square',
         degree_bound=max_deg,
         config={'max_deg': max_deg},
-        candidates_examined=(1 << half) - 1,
-        perfects_found=[is_perfect(square(b))
-                        for b in square_fixed_points(half)],
+        candidates_examined=(1 << max_deg // 2) - 1,
+        perfects_found=[is_perfect(a) for a, _ in _folded(closed)],
     )

@@ -5,12 +5,10 @@ the production path assembles it from the factorization: sigma(P^n) per
 prime power as the geometric series (P^(n+1) + 1) / (P + 1), multiplied
 out.
 
-The bulk tables sigma_table (sigma(a) for every a up to a degree) and
-sigma_square_table (sigma(B^2) for every B coprime to x) share one
-round loop over the odd-only smallest-factor sieve, built on the
-recurrence below with P or P^2 as the step.  fixed_points and
-square_fixed_points scan them for the a with sigma(a) = a and the B
-with sigma(B^2) = B^2.
+The bulk table sigma_table (sigma(a) for every a up to a degree) is
+filled by a round loop over the odd-only smallest-factor sieve, built
+on the recurrence below.  fixed_points scans it for the a with
+sigma(a) = a.
 
 Characteristic-2 prime-power identities, each tested against that path:
 
@@ -97,7 +95,7 @@ def sigma_table(max_deg):
     import numpy as np
 
     # entry 2i+1 is odd[i]; every even entry above 0 is overwritten below
-    sig = np.repeat(_odd_rounds(max_deg, square=False), 2)
+    sig = np.repeat(_odd_rounds(max_deg), 2)
     sig[0] = 0
     for d in range(1, max_deg + 1):
         lo, hi = 1 << d, 2 << d
@@ -110,99 +108,61 @@ def sigma_table(max_deg):
     return sig
 
 
-def sigma_square_table(max_deg):
-    """sigma(B^2) for every B coprime to x of degree <= max_deg.
-
-    A uint64 array whose entry i holds sigma(B^2) for B = 2i+1, so
-    entry 0 is sigma(1) = 1.  Entries have degree 2 max_deg, so
-    max_deg <= 31.
-    """
-    return _odd_rounds(max_deg, square=True)
-
-
 def fixed_points(max_deg):
-    """The a >= 2 of degree <= max_deg with sigma(a) = a, ascending."""
-    return [a for a in _fixed_indices(sigma_table(max_deg), lambda i: i)
-            if a >= 2]
+    """The a >= 2 of degree <= max_deg with sigma(a) = a, ascending.
 
-
-def square_fixed_points(max_deg):
-    """The B != 1 coprime to x, of degree <= max_deg, with sigma(B^2) =
-    B^2, ascending; entry i of sigma_square_table is B = 2i+1."""
-    table = sigma_square_table(max_deg)
-    found = _fixed_indices(table, lambda i: _spread(2 * i + 1))
-    return [2 * i + 1 for i in found if i >= 1]
-
-
-def _fixed_indices(table, image):
-    """The indices i, ascending, with table[i] == image(i).
-
-    image maps an array of indices to the values wanted there.  The scan
-    runs block by block, so no table-sized index or mask is built.
+    The scan runs block by block, so no table-sized index or mask is
+    built.
     """
     import numpy as np
 
+    table = sigma_table(max_deg)
     ramp = np.arange(_BLOCK, dtype=table.dtype)
     found = []
     for lo in range(0, len(table), _BLOCK):
         part = table[lo:lo + _BLOCK]
-        hits = np.flatnonzero(part == image(ramp[:len(part)] + lo))
+        hits = np.flatnonzero(part == ramp[:len(part)] + lo)
         found.extend((hits + lo).tolist())
-    return found
+    return [a for a in found if a >= 2]
 
 
-def _odd_rounds(max_deg, square):
-    """t[i] = f(2i+1) for i < 2^max_deg, f = sigma or B -> sigma(B^2).
+def _odd_rounds(max_deg):
+    """t[i] = sigma(2i+1) for i < 2^max_deg, as a uint32 array.
 
-    With p = spf(a) and b = a // p, let q = p and f(p) = 1 + p for
-    sigma, or q = p^2 and f(p) = 1 + p + p^2 for squares.  Then f(a) =
-    f(p) f(b), plus c f(b) + q f(b // p) where p also divides b, with
-    c = f(p) + 1 + q: 0 for sigma, p for squares.  That is the
-    three-term recurrence sigma(P^(e+1)) = (P+1) sigma(P^e) +
-    P sigma(P^(e-1)), with q in place of P, times the f of the cofactor
-    coprime to p.  Where p divides b, the rounds compute that sum as
-    f(b) + q (f(b) + f(b // p)).  One round per degree d fills the a of
-    degree d; b and b // p are odd and of lower degree, so a round
-    reads only finished entries.  Each round gathers through the
-    odd-only sieve in blocks of _BLOCK entries, and every temporary is
-    a fresh array of at most one block.
+    With p = spf(a) and b = a // p, sigma(a) = (p+1) sigma(b), except
+    where p also divides b: there sigma(a) = sigma(b) +
+    p (sigma(b) + sigma(b // p)).  That is the three-term recurrence
+    sigma(P^(e+1)) = (P+1) sigma(P^e) + P sigma(P^(e-1)) times the sigma
+    of the cofactor coprime to p.  One round per degree d fills the a of
+    degree d; b and b // p are odd and of lower degree, so a round reads
+    only finished entries.  Each round gathers through the odd-only
+    sieve in blocks of _BLOCK entries, and every temporary is a fresh
+    array of at most one block.
     """
     import numpy as np
 
     spf, quot = smallest_factor_tables(max_deg)
-    # f(1) = 1; the rounds fill the rest
-    t = np.ones(len(spf), dtype=np.uint64 if square else np.uint32)
+    # sigma(1) = 1; the rounds fill the rest
+    t = np.ones(len(spf), dtype=np.uint32)
     for d in range(1, max_deg + 1):
         # odd a = 2i+1 of degree d, for i in [2^(d-1), 2^d)
         for i in range(1 << (d - 1), 1 << d, _BLOCK):
             j = min(i + _BLOCK, 1 << d)
             p = spf[i:j]
             h = quot[i:j] >> 1  # b = 2h+1
-            s = (_spread(p) ^ p ^ 1) if square else p ^ 1
+            s = p ^ 1
             fb = t[h]
-            # deg f(p) + deg f(b) = deg f(a), so the smaller has at most
-            # half that degree
+            # deg sigma(p) + deg sigma(b) = deg sigma(a), so the smaller
+            # has at most half that degree
             t[i:j] = _clmul(np.minimum(s, fb), np.maximum(s, fb))
             # where p also divides b (never for b = 1, since spf[0] = 0);
-            # then p^2 divides a, so q has at most half the degree of f(a)
+            # then p^2 divides a, so p has at most half the degree of
+            # sigma(a)
             ext = np.flatnonzero(spf[h] == p)
-            q = _spread(p[ext]) if square else p[ext]
             fe = fb[ext]
-            # f(b // p) sits at entry quot[h] >> 1
-            t[i + ext] = _clmul(q, t[quot[h[ext]] >> 1] ^ fe) ^ fe
+            # sigma(b // p) sits at entry quot[h] >> 1
+            t[i + ext] = _clmul(p[ext], t[quot[h[ext]] >> 1] ^ fe) ^ fe
     return t
-
-
-def _spread(x):
-    """Squares of the polynomials in x (below 2^32), as uint64.
-
-    Bit i moves to bit 2i, in five shift-and-mask steps; the mask for a
-    shift s keeps alternate runs of s bits, (2^64 - 1) / (2^s + 1).
-    """
-    x = x.astype('uint64')
-    for s in (16, 8, 4, 2, 1):
-        x = (x | x << s) & (2**64 - 1) // (2**s + 1)
-    return x
 
 
 def _clmul(x, y):
@@ -211,8 +171,7 @@ def _clmul(x, y):
     One pass per bit of the largest x, so callers pass as x an operand
     of degree at most half the product's: (x & 2^i) * y is y << i when
     bit i of x is set and 0 otherwise.  The result and the one scratch
-    array are fresh, with the dtype of y (uint32 or uint64), and
-    products must fit in it.
+    array are fresh, with the dtype of y, and products must fit in it.
     """
     import numpy as np
 

@@ -25,15 +25,15 @@ the production sigma-closure search, which never enumerates P and Q
 and instead decides the primes that the decided sigma(p^e) need.  They
 return (examined, pruned, hits) with hits as (A, h, k, l, m, P, Q);
 the pruned tallies check shape_search's closed-form count.
-odd_square_search_factoring is the per-B loop that the sigma(B^2) table
-replaced: it factors each squarefree B coprime to x^2+x and assembles
-sigma(B^2) from that factorization, so it checks the table's rounds
-and fixed-point scan on the squarefree B, sharing only the production
-factorize and sigma assembly.  factorize_ddf_edf is the distinct-degree
-and trace-based equal-degree splitting (with a seeded random split)
-that Berlekamp's algorithm replaced on the general factoring path; it
-shares only the gf2poly kernels with it, so it checks the kernel
-elimination and the splitting.  is_irreducible_rabin (Rabin's
+odd_square_search_factoring is the per-B loop that a sigma(B^2) table
+and then the least-prime closure replaced: it factors each squarefree B
+coprime to x^2+x and assembles sigma(B^2) from that factorization, so
+it checks the closure's seeds and prunes on the squarefree B, sharing
+only the production factorize and sigma assembly.  factorize_ddf_edf
+is the distinct-degree and trace-based equal-degree splitting (with a
+seeded random split) that Berlekamp's algorithm replaced on the general
+factoring path; it shares only the gf2poly kernels with it, so it
+checks the kernel elimination and the splitting.  is_irreducible_rabin (Rabin's
 criterion), irreducibles_rabin (the candidates it accepts) and
 factor_trial (trial division against those of degree <= 10) are the
 irreducibility test and the small-degree factoring path that the

@@ -200,7 +200,7 @@ def test_usage_errors_exit_2(capsys):
 @pytest.mark.parametrize('argv', [
     ('search', '--max-deg', '25'),
     ('search', '--max-deg', '64'),
-    ('odd-square-search', '--max-deg', '50'),
+    ('odd-square-search', '--max-deg', '102'),
     ('odd-square-search', '--max-deg', '0'),
     ('odd-square-search', '--max-deg', '-2'),
     ('certify', 'x^99999999999'),

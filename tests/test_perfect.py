@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import gf2perfect.sigma as sigma_module
+import gf2perfect.perfect as perfect_module
 from gf2perfect.canaday import verify_minimal_prime_parity
 from gf2perfect.factor import irreducibles_up_to
 from gf2perfect.gf2poly import (
@@ -214,6 +214,19 @@ def test_closure_from_x_finds_every_perfect_to_degree_20(exhaustive20):
     assert states > len(closed)
 
 
+@pytest.mark.parametrize('n', [12, 16])
+def test_closure_from_every_least_prime_finds_every_perfect(n):
+    # every prime of degree <= n as the least prime, at every exponent,
+    # with no cap on the primes: only the seeds at x close, so the
+    # least-prime prune and the even steps from odd primes run too
+    seeds = ({p: e} for p in irreducibles_up_to(n)
+             for e in range(1, n // degree(p) + 1))
+    _, closed = _closure(seeds, n, n, n)
+    assert all(min(dec) == X for dec in closed)
+    polys = sorted(product_of_powers(dec.items()) for dec in closed)
+    assert polys == exhaustive_search(n).found_polys()
+
+
 def test_even_power_sigma_is_never_a_square():
     # the lemma that lets shape_search seed from x and x+1 alone:
     # (sigma(P^l))' = P' sigma(P^(l/2-1))^2 is nonzero for even l
@@ -279,15 +292,30 @@ def test_odd_square_search_matches_factoring_oracle():
         assert oracle.candidates_examined <= report.candidates_examined
 
 
-def test_odd_square_search_reports_each_fixed_point(monkeypatch):
-    # no odd perfect polynomial is in range, so plant a fixed point at
-    # B = x^3+x+1 (entry 5); B = 1, the trivial one, is not reported
-    table = sigma_module.sigma_square_table(4)
-    table[5] = square(11)
-    monkeypatch.setattr(sigma_module, 'sigma_square_table', lambda d: table)
+def test_odd_square_search_reports_each_closed_state(monkeypatch):
+    # no odd perfect polynomial is in range, so plant two closed states;
+    # each is folded to its polynomial, certified and reported ascending
+    p, q = 0b111, 0b1011
+    planted = [{p: 2, q: 2}, {q: 2}]
+    monkeypatch.setattr(perfect_module, '_closure', lambda *a: (1, planted))
     report = odd_square_search(8)
-    assert report.found_polys() == [square(11)]
-    assert not report.perfects_found[0].is_perfect
+    assert report.found_polys() == [square(q), square(mul(p, q))]
+    assert not any(c.is_perfect for c in report.perfects_found)
+    assert report.candidates_examined == 15
+
+
+def test_odd_square_search_prunes_below_the_least_prime(monkeypatch):
+    # at 48 the search has 250 seeds; with no seed check the closure
+    # enters 400 states, and with no check on the children 132
+    runs = []
+
+    def spy(*args):
+        runs.append(_closure(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(perfect_module, '_closure', spy)
+    odd_square_search(48)
+    assert runs == [(100, [])]
 
 
 def test_odd_square_search_degree_40():

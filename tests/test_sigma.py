@@ -5,10 +5,9 @@ import pytest
 
 import gf2perfect.sigma as sigma_module
 from gf2perfect.factor import irreducibles_up_to
-from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_, square
+from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_
 from gf2perfect.sigma import (
-    Parity, fixed_points, parity, sigma, sigma_prime_power,
-    sigma_square_table, sigma_table, square_fixed_points,
+    Parity, fixed_points, parity, sigma, sigma_prime_power, sigma_table,
 )
 from oracles import sigma_bruteforce, sigma_naive, sigma_table_list
 
@@ -154,28 +153,12 @@ def test_sigma_table_matches_list_oracle():
         assert table[1:].tolist() == sigma_table_list(d)[1:]
 
 
-def sigma_squares(max_deg):
-    # sigma(B^2) for B = 1, 3, 5, ... of degree <= max_deg, one at a time
-    return [sigma(square(b)) for b in range(1, 2 << max_deg, 2)]
-
-
-def test_sigma_square_table_matches_sigma_of_square():
-    # every B coprime to x, squarefree or not, and B = 1
-    table = sigma_square_table(12)
-    assert table.dtype == 'uint64'
-    assert table.tolist() == sigma_squares(12)
-    # B = x^2+1 = (x+1)^2 is not squarefree
-    assert table[0b101 >> 1] == sigma_prime_power(X1, 4)
-
-
 def test_sigma_table_multi_block_rounds(monkeypatch):
     # with the default block a round's odd half spans several blocks
     # only from degree 17 up
     monkeypatch.setattr(sigma_module, '_BLOCK', 8)
-    squares = sigma_squares(12)
     for d in range(1, 13):
         assert sigma_table(d)[1:].tolist() == sigma_table_list(d)[1:]
-        assert sigma_square_table(d).tolist() == squares[:1 << d]
 
 
 def test_sigma_table_memory_is_tables_plus_fixed_buffers():
@@ -193,32 +176,11 @@ def test_sigma_table_memory_is_tables_plus_fixed_buffers():
     assert peak <= 2.25 * table.nbytes
 
 
-def test_sigma_square_table_memory_is_tables_plus_block_temporaries():
-    # the rounds hold the sieve's two uint32 tables and the uint64 result
-    # (2x the result together) plus block-sized temporaries (2.93x in
-    # all at degree 18); one round-sized uint64 temporary, half the
-    # result at the last round, pushes the peak past 3.25x
-    sigma_square_table(16)  # keep one-off allocations out
-    tracemalloc.start()
-    try:
-        table = sigma_square_table(18)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * table.nbytes
-
-
 def test_fixed_point_scans_across_blocks(monkeypatch):
-    # with 8-entry blocks the scans cross many block boundaries; fixed
-    # points planted at both ends of a block are found, B = 1 is not
+    # with 8-entry blocks the scan crosses many block boundaries
     monkeypatch.setattr(sigma_module, '_BLOCK', 8)
     assert fixed_points(12) == [a for a in range(2, 1 << 13)
                                 if sigma(a) == a]
-    table = sigma_square_table(5)
-    for i in (0, 7, 8, 31):  # B = 2i+1
-        table[i] = square(2 * i + 1)
-    monkeypatch.setattr(sigma_module, 'sigma_square_table', lambda d: table)
-    assert square_fixed_points(5) == [15, 17, 63]
 
 
 def test_fixed_point_scan_allocates_no_table_sized_buffer(monkeypatch):
