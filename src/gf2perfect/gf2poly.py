@@ -9,10 +9,10 @@ every operation here is a pure function and safe to share across threads.
 Addition is xor.  degree(0) is the sentinel -1 (distinct from the
 degree-0 constant 1).  All nonzero polynomials over GF(2) are monic.
 
-mul, divrem, rem, gcd and translate raise ValueError for a negative
-int, with one check per call outside their loops; divexact, and pow_
-for e >= 1, raise through them.  The other functions assume ints >= 0
-and do not check.
+mul, divrem, rem, gcd, translate and pow_ raise ValueError for a
+negative int, with one check per call outside their loops; divexact
+raises through divrem.  square, degree, derivative, sqrt, reverse,
+to_text and to_hex assume ints >= 0 and do not check.
 
 Two textual forms round-trip bit-exactly:
 
@@ -115,6 +115,8 @@ def gcd(p, q):
 
 def pow_(p, e):
     """p**e by repeated squaring; squarings use the Frobenius shortcut."""
+    if p < 0:
+        raise ValueError(f'expected a polynomial, an int >= 0: {p}')
     if e < 0:
         raise ValueError('negative exponent')
     r = 1

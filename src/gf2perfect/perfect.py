@@ -206,78 +206,137 @@ def _hit_record(h, k, p, l, q, m):
             'p_hex': to_hex(p), 'q_hex': to_hex(q)}
 
 
+@lru_cache(maxsize=4096)
+def _sigma_primes(p, e):
+    """factorize(sigma_prime_power(p, e)) for a prime p and e >= 1.
+
+    sigma((x+1)^e) is sigma(x^e) translated, prime by prime.  For odd
+    e >= 3, write e + 1 = 2^s u with u odd; the splitting identity
+    sigma(p^e) = (p+1)^(2^s - 1) sigma(p^(u-1))^(2^s) combines the
+    factors of sigma(p) and of the even power sigma(p^(u-1)).  Only
+    e = 1 and even e are factored directly.  The cache is bounded, since
+    most odd-search seeds are factored once and then die.
+    """
+    if p == X1:
+        return tuple(sorted((translate(q), m) for q, m in _sigma_primes(X, e)))
+    if e == 1 or e % 2 == 0:
+        return factorize(sigma_prime_power(p, e))
+    t = (e + 1) & -(e + 1)  # 2^s
+    fac = {q: m * (t - 1) for q, m in _sigma_primes(p, 1)}
+    if e + 1 > t:
+        for q, m in _sigma_primes(p, (e + 1) // t - 1):
+            fac[q] = fac.get(q, 0) + m * t
+    return tuple(sorted(fac.items()))
+
+
 def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     """Depth-first sigma-closure search; returns (states, closed).
 
-    A state holds decided prime powers dec and the multiset need of the
-    primes of their sigmas; every prime of a perfect A is needed, since
-    sigma(P^e) = 1 mod P.  Each seed dict {prime: exp} names the least
-    prime of the A sought, min(seed): a seed or child whose sigma has a
-    prime below it is skipped.  When that least prime is not x, every
-    exponent is even, since x | q + 1 | sigma(q^e) for a prime q != x
-    and odd e.  From each seed, the lowest pending (needed, undecided)
-    prime is decided at each exponent from its need (rounded up to
-    even when exponents are even) up to the degree budget.  A state is
-    pruned when need[q] > dec[q] for a decided q, when more than
-    max_omega primes are in play, when a pending prime has degree above
-    p_deg_bound, or when the decided degree plus the pending minimum
-    exceeds deg_bound.  With prune, a second odd prime is not decided
-    at e beside one at l when _classify_pattern(l, e) names a lemma
-    (sound only if no closure holds three odd primes).
+    A state holds decided prime powers dec, the multiset need of the
+    primes of their sigmas, the set pending of needed, undecided primes,
+    and rest, the decided degree plus need[q] deg q over pending q; every
+    prime of a perfect A is needed, since sigma(P^e) = 1 mod P.  Each
+    seed dict {prime: exp} names the least prime of the A sought,
+    min(seed): a seed or child whose sigma has a prime below it is
+    skipped.  When that least prime is not x, every exponent is even,
+    since x | q + 1 | sigma(q^e) for a prime q != x and odd e.  From each
+    seed, the lowest pending prime is decided at each exponent from its
+    need (rounded up to even when exponents are even) up to the degree
+    budget.  A state is pruned when need[q] > dec[q] for a decided q,
+    when more than max_omega primes are in play, when a pending prime
+    has degree above p_deg_bound, or when rest exceeds deg_bound.  With
+    prune, a second odd prime is not decided at e beside one at l when
+    _classify_pattern(l, e) names a lemma (sound only if no closure
+    holds three odd primes).
+
+    The checks are incremental.  Deciding p at e changes only the need
+    of the primes of sigma(p^e), which never holds p, and need only
+    grows; so a child checks those primes alone: the decided ones
+    against dec, the new pending ones against p_deg_bound, and rest
+    moves by (e - need[p]) deg p plus m deg q for each undecided q^m in
+    sigma(p^e).  A seed is decided prime by prime from the empty state
+    and entered once; a check that fails midway fails on the whole seed
+    too.  Each sigma(p^e) comes from _sigma_primes.
 
     A closed state (nothing pending) is perfect: need <= dec, and
     deg sigma(p^e) = e deg p makes their degrees equal, so need == dec.
-    closed lists their dec; states counts the states entered, seeds
-    included.  Each sigma(p^e) is factored once per call.
+    closed lists their dec; states counts the states entered, seeds and
+    pruned children included.
     """
     closed = []
     states = 0
 
-    @lru_cache(maxsize=None)
-    def sigma_primes(p, e):
-        return factorize(sigma_prime_power(p, e))
+    def decide(dec, need, pending, rest, p, e, primes):
+        # the state after deciding p at e, sigma(p^e) = primes, or None
+        # when a check prunes it; rest only grows and the room for new
+        # pending primes only shrinks, so each check exits at once
+        n = need.get(p, 0)
+        rest += (e - n) * degree(p)
+        room = max_omega - len(dec) - len(pending) - (p not in pending)
+        if n > e or rest > deg_bound or room < 0:
+            return None
+        fresh = []
+        for q, m in primes:
+            if q in dec:
+                if need.get(q, 0) + m > dec[q]:
+                    return None
+                continue
+            d = q.bit_length() - 1
+            rest += m * d
+            if rest > deg_bound:
+                return None
+            if q not in pending:
+                room -= 1
+                if room < 0 or d > p_deg_bound:
+                    return None
+                fresh.append(q)
+        need = need.copy()
+        for q, m in primes:
+            need[q] = need.get(q, 0) + m
+        return ({**dec, p: e}, need, pending.difference((p,)).union(fresh),
+                rest)
 
-    def visit(dec, need, used):
+    def visit(dec, need, pending, rest):
         nonlocal states
-        states += 1
-        if any(n > dec[q] for q, n in need.items() if q in dec):
-            return
-        pending = [q for q in need if q not in dec]
-        rest = used + sum(need[q] * degree(q) for q in pending)
-        if len(dec) + len(pending) > max_omega or rest > deg_bound \
-                or any(degree(q) > p_deg_bound for q in pending):
-            return
         if not pending:
             closed.append(dec)
             return
         low = min(pending)
         d = degree(low)
-        odd = [e for q, e in dec.items() if degree(q) >= 2]
-        paired = prune and d >= 2 and len(odd) == 1
+        # the exponents of the decided primes of degree >= 2
+        odd = [e for q, e in dec.items() if q > X1] if prune and d >= 2 else ()
         n = need[low]
         for e in range(n + n % step, n + (deg_bound - rest) // d + 1, step):
-            if paired and _classify_pattern(odd[0], e) is not None:
+            if len(odd) == 1 and _classify_pattern(odd[0], e) is not None:
                 continue
-            primes = sigma_primes(low, e)
+            primes = _sigma_primes(low, e)
             if primes[0][0] < least:
                 continue
-            child = dict(need)
-            for q, m in primes:
-                child[q] = child.get(q, 0) + m
-            visit({**dec, low: e}, child, used + e * d)
+            states += 1
+            child = decide(dec, need, pending, rest, low, e, primes)
+            if child is not None:
+                visit(*child)
+
+    @lru_cache(maxsize=1)
+    def start(p, e):
+        # a seed's first prime decided; consecutive seeds {x: h, x+1: k}
+        # of shape_search share it
+        return decide({}, {}, frozenset(), 0, p, e, _sigma_primes(p, e))
 
     for seed in seeds:
         least = min(seed)
         step = 1 if least == X else 2
-        need = {}
-        for p, e in seed.items():
-            primes = sigma_primes(p, e)
-            if primes[0][0] < least:
+        if any(_sigma_primes(p, e)[0][0] < least for p, e in seed.items()):
+            continue
+        states += 1
+        (p, e), *others = seed.items()
+        state = start(p, e)
+        for p, e in others:
+            if state is None:
                 break
-            for q, n in primes:
-                need[q] = need.get(q, 0) + n
-        else:
-            visit(seed, need, sum(e * degree(p) for p, e in seed.items()))
+            state = decide(*state, p, e, _sigma_primes(p, e))
+        if state is not None:
+            visit(*state)
     return states, closed
 
 
@@ -308,8 +367,8 @@ def _pruned_tally(deg_bound, p_deg_bound):
 
 
 # The closure states grow about as deg_bound^2.3: on a 2-CPU Xeon VM the
-# CLI takes 1.0 s at deg_bound 200 and 2.5 s and 16 MB at 300 with
-# --p-deg-bound 10 (2.3-3.1 s and 17 MB with 20).
+# CLI takes 0.2 s at deg_bound 200 and 0.4-0.5 s and 16 MB at 300 with
+# --p-deg-bound 10 (0.5 s and 16 MB with 20).
 MAX_SHAPE_DEG = 300
 
 
@@ -339,8 +398,8 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
 
     p_deg_bound <= MAX_IRREDUCIBLES_DEG (20) is a contract on the
     accepted range, not a cost cap: the search lists no primes, and with
-    the check lifted it ran in 1.5-2.4 s at 300/40 and 1.8-2.6 s at
-    300/60 in-process (1.3 s at 300/20), finding C1..C5 each time.
+    the check lifted it ran in 0.5-0.6 s at 300/40 and at 300/60
+    in-process (0.4 s at 300/20), finding C1..C5 each time.
     """
     if deg_bound < 1 or p_deg_bound < 1:
         raise ValueError('bounds must be >= 1')
@@ -375,9 +434,9 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
 
 # The cost is factoring the seeds' sigma(P^e), and about 8 in 9 seeds
 # die at that first factorization, on a prime below P.  On a 2-CPU Xeon
-# VM the CLI takes 0.2 s and 16 MB at 48, 1.6 s at 84, 3.7-4.2 s at 96
-# and 4.9-5.2 s and 43 MB at 100; at 102 the primes of degree 17 enter
-# as seeds, and it takes 10.6 s and 56 MB.
+# VM the CLI takes 0.1 s and 16 MB at 48, 1.0-1.2 s at 84, 4.0 s at 96
+# and 3.6-4.9 s and 32 MB at 100; at 102 the primes of degree 17 enter
+# as seeds, and with the cap lifted it takes 6.7 s and 31 MB in-process.
 MAX_ODD_SQUARE_DEG = 100
 
 

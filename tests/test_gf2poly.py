@@ -84,8 +84,8 @@ else:
 @pytest.mark.parametrize('call', [
     'mul(-3, 1)', 'mul(5, -3)', 'gcd(-3, 1)', 'gcd(7, -3)', 'divrem(-3, 1)',
     'divrem(7, -3)', 'rem(-3, 1)', 'rem(7, -3)', 'divexact(-3, 1)',
-    'translate(-3)', 'pow_(-3, 2)', 'parity(-3)', 'is_irreducible(-3)',
-    'is_irreducible(-2)',
+    'translate(-3)', 'pow_(-3, 2)', 'pow_(-3, 0)', 'parity(-3)',
+    'is_irreducible(-3)', 'is_irreducible(-2)',
 ])
 def test_negative_operands_raise(call):
     # a fresh interpreter with a timeout, so a kernel that loops forever
@@ -99,6 +99,10 @@ def test_pow_examples():
     assert pow_(X1, 4) == 0b10001
     assert pow_(0b111, 2) == 0b10101
     assert pow_(0b110, 3) == 0x78                    # frozen from the oracle
+    # the base is checked once at entry, so the message names the
+    # caller's operand, not a square of it
+    with pytest.raises(ValueError, match=r': -3$'):
+        pow_(-3, 2)
 
 
 def test_translate_examples():

@@ -4,12 +4,12 @@ import pytest
 
 import gf2perfect.perfect as perfect_module
 from gf2perfect.canaday import verify_minimal_prime_parity
-from gf2perfect.factor import irreducibles_up_to
+from gf2perfect.factor import factorize, irreducibles_up_to
 from gf2perfect.gf2poly import (
     X, X1, degree, derivative, mul, parse, pow_, square, translate,
 )
 from gf2perfect.perfect import (
-    C1, C2, C3, C4, C5, S1, T1, T2, _closure, _hit_record,
+    C1, C2, C3, C4, C5, S1, T1, T2, _closure, _hit_record, _sigma_primes,
     exhaustive_search, is_perfect, odd_square_search, shape_search,
     trivial_perfect,
 )
@@ -159,11 +159,15 @@ def test_shape_search_to_degree_120():
 @pytest.mark.parametrize('bound, pbound, pruned, examined', [
     (60, 20, {'lemma10': 33408, 'lemma11': 1398205436}, 3868),
     (120, 12, {'lemma10': 50204733, 'lemma11': 4692183998}, 15005),
+    (300, 20, {'lemma10': 49464548337563, 'lemma11': 1701259872432121},
+     87135),
 ])
 def test_shape_search_counts_at_large_prime_bounds(bound, pbound, pruned,
                                                    examined):
-    # the figures the tally gave when it counted a list of the primes;
-    # it now takes the counts from sum_{e | d} e N(e) = 2^d
+    # at 60/20 and 120/12, the figures the tally gave when it counted a
+    # list of the primes; it now takes the counts from
+    # sum_{e | d} e N(e) = 2^d.  300/20 is the CLI cap, and its state
+    # count is the one the engine gave before its checks were incremental
     r = shape_search(bound, pbound)
     assert r.shapes_pruned == pruned
     assert r.candidates_examined == examined
@@ -212,6 +216,27 @@ def test_closure_from_x_finds_every_perfect_to_degree_20(exhaustive20):
     assert polys == exhaustive20.found_polys()
     assert all(sigma(a) == a for a in polys)
     assert states > len(closed)
+
+
+def test_closure_from_x_state_count_to_degree_60(catalog_certs):
+    # no cap on the primes or omega: the state count the engine gave
+    # before its checks were incremental, and the catalog entries of
+    # degree <= 60
+    states, closed = _closure(({X: h} for h in range(1, 61)), 60, 60, 60)
+    assert states == 20199
+    polys = sorted(product_of_powers(dec.items()) for dec in closed)
+    assert polys == [c.poly for c in catalog_certs if degree(c.poly) <= 60]
+
+
+def test_sigma_primes_matches_factoring_whole():
+    # the translation and splitting identities against factoring each
+    # sigma(p^e) directly, for x, x+1 and the 21 odd primes of degree
+    # <= 6; from an empty cache, so every identity runs
+    _sigma_primes.cache_clear()
+    pairs = [(p, e) for p in irreducibles_up_to(6) for e in range(1, 41)]
+    assert len(pairs) == 920
+    for p, e in pairs:
+        assert _sigma_primes(p, e) == factorize(sigma_prime_power(p, e))
 
 
 @pytest.mark.parametrize('n', [12, 16])
