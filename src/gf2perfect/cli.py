@@ -9,6 +9,10 @@ is either human-readable text or a JSON document; identical arguments
 produce byte-identical JSON.  Searches always print one deterministic
 summary line first.
 
+A run builds the parser of the invoked subcommand only (under
+verify-lemma, of the named lemma only); help and usage text still list
+every choice.  Nothing is built at import.
+
 Exit codes: 0 on success, 1 when a verifier found a violation, 2 on
 usage errors (bad bounds, malformed polynomials, a flag or argument the
 chosen subcommand does not take).
@@ -121,7 +125,80 @@ def _cmd_lemma(ns):
     return _verdict(record, ns)
 
 
-def build_parser():
+def _cmd_search(ns):
+    return _emit_report(perfect.exhaustive_search(ns.max_deg), ns)
+
+
+def _cmd_shape_search(ns):
+    return _emit_report(perfect.shape_search(
+        ns.deg_bound, ns.p_deg_bound, use_pruning=not ns.no_prune), ns)
+
+
+def _cmd_odd_square_search(ns):
+    return _emit_report(perfect.odd_square_search(ns.max_deg), ns)
+
+
+def _required(flag):
+    return (flag,), {'type': int, 'required': True}
+
+
+_POLY = ('poly',), {'help': 'polynomial, e.g. "x^2(x+1)" or "0x13"'}
+
+# name -> (handler, arguments), in the order help lists them; the
+# arguments are add_argument calls, or a table of nested subcommands
+_COMMANDS = {
+    'factor': (_cmd_factor, [_POLY]),
+    'sigma': (_cmd_sigma, [_POLY]),
+    'certify': (_cmd_certify, [_POLY]),
+    'catalog': (_cmd_catalog, []),
+    'search': (_cmd_search, [_required('--max-deg')]),
+    'shape-search': (_cmd_shape_search, [
+        _required('--deg-bound'), _required('--p-deg-bound'),
+        (('--no-prune',), {'action': 'store_true'})]),
+    'odd-square-search': (_cmd_odd_square_search, [_required('--max-deg')]),
+    'irreducibles': (_cmd_irreducibles, [_required('--max-deg')]),
+    'verify-lemma': (None, {
+        **{name: (_cmd_lemma, [
+            (('--' + bound.replace('_', '-'),),
+             {'type': int, 'default': default,
+              'help': 'default: %(default)s'})
+            for bound, default in lemma.defaults.items()])
+           for name, lemma in canaday.LEMMAS.items()},
+        'parity': (_cmd_parity, [
+            (('poly',), {'help': 'perfect polynomial to check'})]),
+    }),
+}
+
+
+def _named(argv, names):
+    """Index in argv of the subcommand argparse will pick, or None.
+
+    Only -h, --help, and --format and --seed with their values, may come
+    before the name.  Anything else there (an abbreviated flag, a value
+    starting with '-', '--') or a first positional that is not in names
+    gives None, and argparse then chooses among all the subcommands.
+    """
+    it = enumerate(argv)
+    for i, arg in it:
+        if not arg.startswith('-'):
+            return i if arg in names else None
+        if arg in ('--format', '--seed'):
+            if next(it, (i, '-'))[1].startswith('-'):
+                return None
+        elif not (arg in ('-h', '--help')
+                  or arg.startswith(('--format=', '--seed='))):
+            return None
+    return None
+
+
+def build_parser(argv):
+    """The parser for argv, with only the subcommand parsers it names.
+
+    Building all 17 parsers takes about 3 ms in a fresh process, as
+    long as a small search.  When _named finds no name, every
+    subcommand is built, so help and errors list all the choices; usage
+    lines list them all either way.
+    """
     # every parser takes -h, --format and --seed from this one parent,
     # which costs less than adding them to each.  SUPPRESS keeps a flag
     # given before the subcommand from being clobbered by a subparser's
@@ -139,53 +216,31 @@ def build_parser():
         prog='gf2perfect', parents=[common], add_help=False,
         description='Sum-of-divisors arithmetic and perfect-polynomial '
                     'searches over GF(2)[x].')
-    sub = ap.add_subparsers(dest='subcommand', required=True)
 
-    def add_parser(subs, name, handler):
-        p = subs.add_parser(name, parents=[common], add_help=False)
-        p.set_defaults(handler=handler)
-        return p
+    def add_commands(parser, dest, commands, argv):
+        i = _named(argv, commands)
+        sub = parser.add_subparsers(
+            dest=dest, required=True,
+            metavar=None if i is None else '{%s}' % ','.join(commands))
+        for name, (handler, arguments) in commands.items():
+            if i is not None and argv[i] != name:
+                continue
+            p = sub.add_parser(name, parents=[common], add_help=False)
+            p.set_defaults(handler=handler)
+            if isinstance(arguments, dict):
+                add_commands(p, 'lemma', arguments,
+                             [] if i is None else argv[i + 1:])
+            else:
+                for flags, kwargs in arguments:
+                    p.add_argument(*flags, **kwargs)
 
-    for name, handler in (('factor', _cmd_factor), ('sigma', _cmd_sigma),
-                          ('certify', _cmd_certify)):
-        p = add_parser(sub, name, handler)
-        p.add_argument('poly', help='polynomial, e.g. "x^2(x+1)" or "0x13"')
-
-    add_parser(sub, 'catalog', _cmd_catalog)
-
-    p = add_parser(sub, 'search', lambda ns: _emit_report(
-        perfect.exhaustive_search(ns.max_deg), ns))
-    p.add_argument('--max-deg', type=int, required=True)
-
-    p = add_parser(sub, 'shape-search', lambda ns: _emit_report(
-        perfect.shape_search(ns.deg_bound, ns.p_deg_bound,
-                             use_pruning=not ns.no_prune), ns))
-    p.add_argument('--deg-bound', type=int, required=True)
-    p.add_argument('--p-deg-bound', type=int, required=True)
-    p.add_argument('--no-prune', action='store_true')
-
-    p = add_parser(sub, 'odd-square-search', lambda ns: _emit_report(
-        perfect.odd_square_search(ns.max_deg), ns))
-    p.add_argument('--max-deg', type=int, required=True)
-
-    p = add_parser(sub, 'irreducibles', _cmd_irreducibles)
-    p.add_argument('--max-deg', type=int, required=True)
-
-    lemmas = add_parser(sub, 'verify-lemma', None).add_subparsers(
-        dest='lemma', required=True)
-    for name, lemma in canaday.LEMMAS.items():
-        p = add_parser(lemmas, name, _cmd_lemma)
-        for bound, default in lemma.defaults.items():
-            p.add_argument('--' + bound.replace('_', '-'), type=int,
-                           default=default, help='default: %(default)s')
-    p = add_parser(lemmas, 'parity', _cmd_parity)
-    p.add_argument('poly', help='perfect polynomial to check')
+    add_commands(ap, 'subcommand', _COMMANDS, argv)
     return ap
 
 
 def run(argv):
     """Execute one invocation; returns the process exit code."""
-    ap = build_parser()
+    ap = build_parser(argv)
     try:
         ns = ap.parse_args(argv, argparse.Namespace(format='text', seed=None))
     except SystemExit as exc:  # argparse already printed the usage error

@@ -238,7 +238,8 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     prime of a perfect A is needed, since sigma(P^e) = 1 mod P.  Each
     seed dict {prime: exp} names the least prime of the A sought,
     min(seed): a seed or child whose sigma has a prime below it is
-    skipped.  When that least prime is not x, every exponent is even,
+    skipped.  No prime is below x, so the seed check runs only when the
+    least prime is not x.  When it is not, every exponent is even,
     since x | q + 1 | sigma(q^e) for a prime q != x and odd e.  From each
     seed, the lowest pending prime is decided at each exponent from its
     need (rounded up to even when exponents are even) up to the degree
@@ -271,7 +272,7 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
         # when a check prunes it; rest only grows and the room for new
         # pending primes only shrinks, so each check exits at once
         n = need.get(p, 0)
-        rest += (e - n) * degree(p)
+        rest += (e - n) * (p.bit_length() - 1)
         room = max_omega - len(dec) - len(pending) - (p not in pending)
         if n > e or rest > deg_bound or room < 0:
             return None
@@ -302,7 +303,7 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
             closed.append(dec)
             return
         low = min(pending)
-        d = degree(low)
+        d = low.bit_length() - 1
         # the exponents of the decided primes of degree >= 2
         odd = [e for q, e in dec.items() if q > X1] if prune and d >= 2 else ()
         n = need[low]
@@ -326,12 +327,13 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     for seed in seeds:
         least = min(seed)
         step = 1 if least == X else 2
-        if any(_sigma_primes(p, e)[0][0] < least for p, e in seed.items()):
+        if least != X and any(_sigma_primes(p, e)[0][0] < least
+                              for p, e in seed.items()):
             continue
         states += 1
-        (p, e), *others = seed.items()
-        state = start(p, e)
-        for p, e in others:
+        items = iter(seed.items())
+        state = start(*next(items))
+        for p, e in items:
             if state is None:
                 break
             state = decide(*state, p, e, _sigma_primes(p, e))
@@ -366,10 +368,11 @@ def _pruned_tally(deg_bound, p_deg_bound):
     return pruned
 
 
-# The closure states grow about as deg_bound^2.3: on a 2-CPU Xeon VM the
-# CLI takes 0.2 s at deg_bound 200 and 0.4-0.5 s and 16 MB at 300 with
-# --p-deg-bound 10 (0.5 s and 16 MB with 20).
-MAX_SHAPE_DEG = 300
+# The time grows about as deg_bound^2.4: on a 2-CPU Xeon VM the CLI with
+# --p-deg-bound 20 takes 0.4-0.5 s and 17 MB at deg_bound 300 (87,135
+# states), 1.2 s at 500, 3.8 s at 700 and 4.8-5.0 s and 19 MB at 800
+# (498,290 states); 900 takes 6.2 s.
+MAX_SHAPE_DEG = 800
 
 
 def shape_search(deg_bound, p_deg_bound, use_pruning=True):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -213,7 +214,7 @@ def test_usage_errors_exit_2(capsys):
     ('verify-lemma', '5', '--p-deg-bound', '20'),
     ('verify-lemma', '6', '--p-deg-bound', '16'),
     ('verify-lemma', '6', '--p-deg-bound', '20'),
-    ('shape-search', '--deg-bound', '301', '--p-deg-bound', '8'),
+    ('shape-search', '--deg-bound', '801', '--p-deg-bound', '8'),
     ('shape-search', '--deg-bound', '100000', '--p-deg-bound', '8'),
     ('verify-lemma', '1iv', '--max-deg', '451'),
     ('verify-lemma', '4', '--h-bound', '351'),
@@ -253,9 +254,51 @@ def test_closed_pipe_exits_quietly():
         assert proc.wait(timeout=60) not in (1, 2)
 
 
+COMMANDS = ('factor', 'sigma', 'certify', 'catalog', 'search',
+            'shape-search', 'odd-square-search', 'irreducibles',
+            'verify-lemma')
+LEMMAS = ('1iv', '4', '5', '6', '8', 'parity')
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(['no-such-command']) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "invalid choice: 'no-such-command'" in err
+    assert all(repr(name) in err for name in COMMANDS)
+
+
+@pytest.mark.parametrize('path', [()] + [(name,) for name in COMMANDS] +
+                         [('verify-lemma', name) for name in LEMMAS])
+def test_help_names_each_parser(capsys, path):
+    code, out, err = invoke(capsys, *path, '-h')
+    assert (code, err) == (0, '')
+    assert out.startswith(' '.join(('usage: gf2perfect',) + path) + ' ')
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, _ = invoke(capsys, '--help')
+    assert code == 0
+    assert '{' + ','.join(COMMANDS) + '}' in out
+    code, out, _ = invoke(capsys, 'verify-lemma', '--help')
+    assert code == 0
+    assert '{' + ','.join(LEMMAS) + '}' in out
+
+
+def test_a_run_builds_only_its_own_parsers(capsys, monkeypatch):
+    # the shared parent, the top level and shape-search: 3 of the 17
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, '__init__', counting_init)
+    code, out, _ = invoke(capsys, '--format', 'json', 'shape-search',
+                          '--deg-bound', '24', '--p-deg-bound', '6')
+    assert code == 0
+    assert out == (GOLDEN / 'shape_search_24_6.json').read_text()
+    assert len(built) <= 3
 
 
 def test_large_poly_arguments_round_trip(capsys):

@@ -161,13 +161,16 @@ def test_shape_search_to_degree_120():
     (120, 12, {'lemma10': 50204733, 'lemma11': 4692183998}, 15005),
     (300, 20, {'lemma10': 49464548337563, 'lemma11': 1701259872432121},
      87135),
+    (400, 20, {'lemma10': 362332835226625, 'lemma11': 6392610030440236},
+     145437),
 ])
 def test_shape_search_counts_at_large_prime_bounds(bound, pbound, pruned,
                                                    examined):
     # at 60/20 and 120/12, the figures the tally gave when it counted a
     # list of the primes; it now takes the counts from
-    # sum_{e | d} e N(e) = 2^d.  300/20 is the CLI cap, and its state
-    # count is the one the engine gave before its checks were incremental
+    # sum_{e | d} e N(e) = 2^d.  300/20 was the CLI cap, and its state
+    # count is the one the engine gave before its checks were incremental;
+    # 400/20 is the first bound above that old cap
     r = shape_search(bound, pbound)
     assert r.shapes_pruned == pruned
     assert r.candidates_examined == examined
