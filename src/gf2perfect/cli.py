@@ -219,6 +219,8 @@ def build_parser(argv):
 
     def add_commands(parser, dest, commands, argv):
         i = _named(argv, commands)
+        # argparse also names the action by its metavar in errors about
+        # the choice itself, which only arise when everything is built
         sub = parser.add_subparsers(
             dest=dest, required=True,
             metavar=None if i is None else '{%s}' % ','.join(commands))
