@@ -9,9 +9,9 @@ is either human-readable text or a JSON document; identical arguments
 produce byte-identical JSON.  Searches always print one deterministic
 summary line first.
 
-A run builds the parser of the invoked subcommand only (under
-verify-lemma, of the named lemma only); help and usage text still list
-every choice.  Nothing is built at import.
+argparse picks the subcommand, and only then is its parser built
+(under verify-lemma, only the named lemma's); help and usage text still
+list every choice.  Nothing is built at import.
 
 Exit codes: 0 on success, 1 when a verifier found a violation, 2 on
 usage errors (bad bounds, malformed polynomials, a flag or argument the
@@ -170,34 +170,44 @@ _COMMANDS = {
 }
 
 
-def _named(argv, names):
-    """Index in argv of the subcommand argparse will pick, or None.
+class _OnDemand:
+    """A subcommand's parser, built only once argparse picks it.
 
-    Only -h, --help, and --format and --seed with their values, may come
-    before the name.  Anything else there (an abbreviated flag, a value
-    starting with '-', '--') or a first positional that is not in names
-    gives None, and argparse then chooses among all the subcommands.
+    add_subparsers(parser_class=_OnDemand) makes one per name; argparse
+    calls nothing on it but the chosen one's parse_known_args, so a run
+    builds only the parsers on its path.
     """
-    it = enumerate(argv)
-    for i, arg in it:
-        if not arg.startswith('-'):
-            return i if arg in names else None
-        if arg in ('--format', '--seed'):
-            if next(it, (i, '-'))[1].startswith('-'):
-                return None
-        elif not (arg in ('-h', '--help')
-                  or arg.startswith(('--format=', '--seed='))):
-            return None
-    return None
+
+    def __init__(self, spec, common, **kwargs):
+        self.spec, self.common, self.kwargs = spec, common, kwargs
+
+    def parse_known_args(self, args, namespace):
+        handler, arguments = self.spec
+        parser = argparse.ArgumentParser(parents=[self.common],
+                                         add_help=False, **self.kwargs)
+        parser.set_defaults(handler=handler)
+        if isinstance(arguments, dict):
+            _add_commands(parser, 'lemma', arguments, self.common)
+        else:
+            for flags, kwargs in arguments:
+                parser.add_argument(*flags, **kwargs)
+        return parser.parse_known_args(args, namespace)
 
 
-def build_parser(argv):
-    """The parser for argv, with only the subcommand parsers it names.
+def _add_commands(parser, dest, commands, common):
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                parser_class=_OnDemand)
+    for name, spec in commands.items():
+        sub.add_parser(name, spec=spec, common=common)
+
+
+def build_parser():
+    """The top-level parser; a subcommand's is built when picked.
 
     Building all 17 parsers takes about 3 ms in a fresh process, as
-    long as a small search.  When _named finds no name, every
-    subcommand is built, so help and errors list all the choices; usage
-    lines list them all either way.
+    long as a small search.  A run builds 2 (-h alone, a typo), 3 (a
+    subcommand) or 4 (a lemma).  Help and errors still list every
+    choice, since argparse takes them from the names alone.
     """
     # every parser takes -h, --format and --seed from this one parent,
     # which costs less than adding them to each.  SUPPRESS keeps a flag
@@ -216,33 +226,13 @@ def build_parser(argv):
         prog='gf2perfect', parents=[common], add_help=False,
         description='Sum-of-divisors arithmetic and perfect-polynomial '
                     'searches over GF(2)[x].')
-
-    def add_commands(parser, dest, commands, argv):
-        i = _named(argv, commands)
-        # argparse also names the action by its metavar in errors about
-        # the choice itself, which only arise when everything is built
-        sub = parser.add_subparsers(
-            dest=dest, required=True,
-            metavar=None if i is None else '{%s}' % ','.join(commands))
-        for name, (handler, arguments) in commands.items():
-            if i is not None and argv[i] != name:
-                continue
-            p = sub.add_parser(name, parents=[common], add_help=False)
-            p.set_defaults(handler=handler)
-            if isinstance(arguments, dict):
-                add_commands(p, 'lemma', arguments,
-                             [] if i is None else argv[i + 1:])
-            else:
-                for flags, kwargs in arguments:
-                    p.add_argument(*flags, **kwargs)
-
-    add_commands(ap, 'subcommand', _COMMANDS, argv)
+    _add_commands(ap, 'subcommand', _COMMANDS, common)
     return ap
 
 
 def run(argv):
     """Execute one invocation; returns the process exit code."""
-    ap = build_parser(argv)
+    ap = build_parser()
     try:
         ns = ap.parse_args(argv, argparse.Namespace(format='text', seed=None))
     except SystemExit as exc:  # argparse already printed the usage error

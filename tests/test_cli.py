@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gf2perfect
+from gf2perfect import cli
 from gf2perfect.cli import run
 from gf2perfect.gf2poly import parse, to_hex, to_text
 
@@ -286,8 +287,16 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert '{' + ','.join(LEMMAS) + '}' in out
 
 
-def test_a_run_builds_only_its_own_parsers(capsys, monkeypatch):
-    # the shared parent, the top level and shape-search: 3 of the 17
+@pytest.mark.parametrize('argv, code, most', [
+    (['-h'], 0, 2),
+    (['no-such-command'], 2, 2),
+    (['--form', 'json', 'shape-search', '--deg-bound', '24',
+      '--p-deg-bound', '6'], 0, 3),
+    (['verify-lemma', '5'], 0, 4),
+], ids=['help', 'typo', 'shape-search', 'verify-lemma'])
+def test_a_run_builds_only_its_own_parsers(capsys, monkeypatch, argv, code,
+                                           most):
+    # the shared parent, the top level, and each parser argparse picks
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -296,11 +305,95 @@ def test_a_run_builds_only_its_own_parsers(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, '__init__', counting_init)
-    code, out, _ = invoke(capsys, '--format', 'json', 'shape-search',
-                          '--deg-bound', '24', '--p-deg-bound', '6')
-    assert code == 0
-    assert out == (GOLDEN / 'shape_search_24_6.json').read_text()
-    assert len(built) <= 3
+    got, out, _ = invoke(capsys, *argv)
+    assert got == code
+    assert len(built) <= most
+    if 'shape-search' in argv:
+        assert out == (GOLDEN / 'shape_search_24_6.json').read_text()
+
+
+def test_import_builds_no_parser():
+    env = {**os.environ,
+           'PYTHONPATH': str(Path(gf2perfect.__file__).parents[1])}
+    subprocess.run([sys.executable, '-c', 'import argparse\n'
+                    'def fail(*args, **kwargs): raise AssertionError\n'
+                    'argparse.ArgumentParser.__init__ = fail\n'
+                    'import gf2perfect.cli'],
+                   env=env, check=True, timeout=60)
+
+
+def eager_parser():
+    """Every parser built up front from cli._COMMANDS, as a reference."""
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument('-h', '--help', action='help',
+                        help='show this help message and exit')
+    common.add_argument('--format', choices=('text', 'json'),
+                        help='output format (default: text)')
+    common.add_argument('--seed', type=int,
+                        help='accepted for compatibility; has no effect, '
+                             'since factorization is deterministic')
+    top = argparse.ArgumentParser(
+        prog='gf2perfect', parents=[common], add_help=False,
+        description='Sum-of-divisors arithmetic and perfect-polynomial '
+                    'searches over GF(2)[x].')
+
+    def add(parser, dest, commands):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (handler, arguments) in commands.items():
+            p = sub.add_parser(name, parents=[common], add_help=False)
+            p.set_defaults(handler=handler)
+            if isinstance(arguments, dict):
+                add(p, 'lemma', arguments)
+            else:
+                for flags, kwargs in arguments:
+                    p.add_argument(*flags, **kwargs)
+
+    add(top, 'subcommand', cli._COMMANDS)
+    return top
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        ns = parser.parse_args(argv,
+                               argparse.Namespace(format='text', seed=None))
+        code, parsed = None, vars(ns)
+    except SystemExit as exc:
+        code, parsed = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, parsed
+
+
+@pytest.mark.parametrize('argv', [
+    [], ['-h'], ['--help'], ['--he'], ['verify-lemma', '-h'],
+    *([name, '--help'] for name in COMMANDS),
+    *(['verify-lemma', name, '-h'] for name in LEMMAS),
+    ['--format', 'json', '-h', 'verify-lemma', '4'],
+    ['no-such-command'], ['verify-lemma', '7'], ['verify-lemma'],
+    ['--format', 'json'], ['search'], ['verify-lemma', 'parity'],
+    ['shape-search', '--deg-bound', '40'],
+    ['--form', 'json', 'shape-search', '--deg-bound', '40',
+     '--p-deg-bound', '8'],
+    ['--fo=json', 'verify-lemma', '5', '--p', '4'],
+    ['shape-search', '--deg', '40', '--p-deg', '8', '--no'],
+    ['--', 'search', '--max-deg', '5'], ['certify', '--', '-x'],
+    ['verify-lemma', '5', '--', '--n-bound'],
+    ['--seed', '-1', 'factor', 'x'], ['--seed=-1', 'catalog'],
+    ['--seed', '-1', '--format', 'json', 'search', '--max-deg', '3'],
+    ['factor', 'x', '--format', 'json'],
+    ['verify-lemma', '4', '--h-bound', '3', '--format', 'json'],
+    ['--format', 'json', 'verify-lemma', '--format', 'text', '8'],
+    ['--format', 'xml', 'catalog'], ['--format'], ['--bogus', 'catalog'],
+    ['catalog', 'extra'], ['search', '--max-deg', 'x'],
+    ['verify-lemma', '5', '--h-bound', '10'],
+])
+def test_on_demand_parsers_match_eager_reference(capsys, monkeypatch, argv):
+    # cli's stand-ins offer argparse nothing but parse_known_args; an
+    # argparse version that calls more on a picked subparser fails here
+    for columns in ('80', '40'):
+        monkeypatch.setenv('COLUMNS', columns)
+        assert parse_outcome(capsys, cli.build_parser(), argv) == \
+            parse_outcome(capsys, eager_parser(), argv)
 
 
 def test_large_poly_arguments_round_trip(capsys):
