@@ -11,9 +11,9 @@ proves anything beyond the configured bounds.  LEMMAS pairs each
 verifier with its default bounds and that classical solution set.
 """
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 from functools import reduce
-from typing import Callable
 
 from .factor import (
     MAX_IRREDUCIBLES_DEG, factorize, irreducibles_up_to, is_irreducible,
@@ -102,8 +102,6 @@ def verify_lemma5(p_deg_bound, n_bound):
     perfect power exactly when the gcd of its factor multiplicities
     exceeds 1.  Classically there are no violations.
     """
-    import math
-
     violations = []
     for p, n, fac in _sigma_even_powers(p_deg_bound, n_bound):
         g = math.gcd(*(e for _, e in fac))
@@ -204,8 +202,8 @@ def verify_minimal_prime_parity(a):
     return degs.count(min(degs, default=0)) % 2 == 0
 
 
-@dataclass(frozen=True)
-class Lemma:
+class Lemma(namedtuple('Lemma', 'verify defaults expected encode '
+                                'encode_expected', defaults=[None])):
     """A verifier with its default bounds and classically expected result.
 
     expected maps the bounds to the classical result, or is None for a
@@ -214,11 +212,7 @@ class Lemma:
     result instead.
     """
 
-    verify: Callable
-    defaults: dict
-    expected: Callable
-    encode: Callable
-    encode_expected: Callable = None
+    __slots__ = ()
 
 
 LEMMAS = {

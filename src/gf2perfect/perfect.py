@@ -19,7 +19,7 @@ Every search certifies its finds and reports them as
 PerfectCertificate values inside a SearchReport.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import comb
@@ -32,20 +32,17 @@ from .gf2poly import (
     X, X1, degree, mul, parse, pow_, to_hex, to_text, translate,
 )
 from .sigma import (
-    Parity, fixed_points, parity, sigma_of_factorization, sigma_prime_power,
+    fixed_points, parity, sigma_of_factorization, sigma_prime_power,
 )
 
 
-@dataclass(frozen=True)
-class PerfectCertificate:
+class PerfectCertificate(namedtuple(
+        'PerfectCertificate', 'poly factorization is_perfect parity omega')):
     """Verdict sigma(poly) == poly together with the factorization of
-    poly, its sorted (prime, exponent) pairs."""
+    poly, its sorted (prime, exponent) pairs; parity is a sigma.Parity
+    and omega the number of distinct primes."""
 
-    poly: int
-    factorization: tuple
-    is_perfect: bool
-    parity: Parity
-    omega: int
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -59,17 +56,16 @@ class PerfectCertificate:
         }
 
 
-@dataclass
-class SearchReport:
-    """Outcome of one search run; counts are reproducible per config."""
+class SearchReport(namedtuple(
+        'SearchReport', 'kind degree_bound config candidates_examined '
+        'perfects_found shapes_pruned found_shapes', defaults=[()])):
+    """Outcome of one search run; counts are reproducible per config.
 
-    kind: str
-    degree_bound: int
-    config: dict
-    candidates_examined: int
-    perfects_found: list
-    shapes_pruned: dict = field(default_factory=dict)  # rule -> count
-    found_shapes: list = field(default_factory=list)  # in find order
+    shapes_pruned maps a rule to its count; found_shapes lists the
+    shape records in find order.
+    """
+
+    __slots__ = ()
 
     def found_polys(self):
         return [c.poly for c in self.perfects_found]
@@ -164,6 +160,7 @@ def exhaustive_search(max_deg):
         config={'max_deg': max_deg},
         candidates_examined=(2 << max_deg) - 2,
         perfects_found=[is_perfect(a) for a in fixed_points(max_deg)],
+        shapes_pruned={},
     )
 
 
@@ -479,4 +476,5 @@ def odd_square_search(max_deg):
         config={'max_deg': max_deg},
         candidates_examined=(1 << max_deg // 2) - 1,
         perfects_found=[is_perfect(a) for a, _ in _folded(closed)],
+        shapes_pruned={},
     )

@@ -1,5 +1,6 @@
 import pytest
 
+from gf2perfect import canaday
 from gf2perfect.canaday import (
     MAX_EVEN_POWERS_WORK, MAX_LEMMA4_BOUND, _even_powers_work,
     _sigma_even_powers, special_form, verify_lemma1_iv, verify_lemma4,
@@ -85,6 +86,16 @@ def test_lemmas_5_and_6_match_factoring_every_sigma(bounds):
     lemma5, lemma6 = even_power_violations_factoring(*bounds)
     assert verify_lemma5(*bounds) == lemma5
     assert verify_lemma6(*bounds) == lemma6
+
+
+def test_lemmas_5_and_6_report_a_repeated_factor(monkeypatch):
+    # no sigma(P^(2n)) in range violates either lemma, so a stand-in
+    # sigma((x^2+x+1)^2) = (x^3+x+1)^2 drives the violation rows
+    monkeypatch.setattr(canaday, '_sigma_even_powers',
+                        lambda *bounds: [(0b111, 1, ((0b1011, 2),))])
+    assert verify_lemma5(6, 4) == [
+        {'p': 0b111, 'n': 1, 'root': 0b1011, 'power': 2}]
+    assert verify_lemma6(6, 4) == [{'p': 0b111, 'n': 1, 'q': 0b1011, 'm': 2}]
 
 
 def test_lemma_bounds_at_their_caps_are_accepted():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gf2perfect
-from gf2perfect import cli
+from gf2perfect import canaday, cli
 from gf2perfect.cli import run
 from gf2perfect.gf2poly import parse, to_hex, to_text
 
@@ -89,6 +89,9 @@ S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
      ['--format', 'json', 'odd-square-search', '--max-deg', '28']),
     ('shape_search_24_6.json', ['--format', 'json', 'shape-search',
                                 '--deg-bound', '24', '--p-deg-bound', '6']),
+    ('catalog.txt', ['catalog']),
+    ('shape_search_24_6.txt', ['shape-search', '--deg-bound', '24',
+                               '--p-deg-bound', '6']),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = invoke(capsys, *argv)
@@ -114,6 +117,23 @@ def test_verify_lemma_5_and_6(capsys):
                               lemma, '--p-deg-bound', '4', '--n-bound', '2')
         assert code == 0
         assert json.loads(out)['violations'] == []
+
+
+@pytest.mark.parametrize('lemma, row', [
+    ('5', {'p_hex': '0x7', 'n': 1, 'root_hex': '0xb', 'power': 2}),
+    ('6', {'p_hex': '0x7', 'n': 1, 'q_hex': '0xb', 'm': 2}),
+])
+def test_verify_lemma_5_and_6_report_violations(capsys, monkeypatch, lemma,
+                                                row):
+    # a stand-in sigma((x^2+x+1)^2) = (x^3+x+1)^2 runs the encoders of
+    # the violation rows, which no real bound reaches
+    monkeypatch.setattr(canaday, '_sigma_even_powers',
+                        lambda *bounds: [(0b111, 1, ((0b1011, 2),))])
+    code, out, _ = invoke(capsys, '--format', 'json', 'verify-lemma', lemma)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload['ok'] is False
+    assert payload['violations'] == [row]
 
 
 def test_search_summary_line_and_blob(capsys):
@@ -320,6 +340,22 @@ def test_import_builds_no_parser():
                     'argparse.ArgumentParser.__init__ = fail\n'
                     'import gf2perfect.cli'],
                    env=env, check=True, timeout=60)
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site .pth files, which may import typing, out of the count
+    src = str(Path(gf2perfect.__file__).parents[1])
+    code = ('import sys\n'
+            f'sys.path.insert(0, {src!r})\n'
+            'import argparse, json, signal\n'
+            'before = set(sys.modules)\n'
+            'import gf2perfect.cli\n'
+            'print(*sorted(set(sys.modules) - before))')
+    added = subprocess.run([sys.executable, '-S', '-c', code],
+                           capture_output=True, text=True, check=True,
+                           timeout=60).stdout.split()
+    assert 'gf2perfect.cli' in added
+    assert not {'dataclasses', 'inspect', 'typing'} & set(added)
 
 
 def eager_parser():

@@ -3,10 +3,12 @@ import random
 import pytest
 
 import gf2perfect.perfect as perfect_module
-from gf2perfect.canaday import verify_minimal_prime_parity
+from gf2perfect.canaday import (
+    verify_lemma4, verify_minimal_prime_parity, verify_theorem8,
+)
 from gf2perfect.factor import factorize, irreducibles_up_to
 from gf2perfect.gf2poly import (
-    X, X1, degree, derivative, mul, parse, pow_, square, translate,
+    X, X1, degree, derivative, divexact, mul, parse, pow_, square, translate,
 )
 from gf2perfect.perfect import (
     C1, C2, C3, C4, C5, S1, T1, T2, _closure, _hit_record, _sigma_primes,
@@ -18,6 +20,20 @@ from oracles import (
     odd_square_search_factoring, product_of_powers, shape_search_grid,
     shape_search_pinned,
 )
+
+
+@pytest.mark.parametrize('call, args, message', [
+    (verify_lemma4, (0, 1), 'bounds must be >= 1'),
+    (verify_lemma4, (1, 0), 'bounds must be >= 1'),
+    (verify_theorem8, (2,), 'h_bound must be >= 3'),
+    (irreducibles_up_to, (0,), 'degree bound must be >= 1'),
+    (trivial_perfect, (0,), 'n must be >= 1'),
+    (divexact, (0b100, 0b11), 'division is not exact'),
+    (pow_, (X, -1), 'negative exponent'),
+])
+def test_input_checks_raise_value_error(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def test_named_catalog_entries():
