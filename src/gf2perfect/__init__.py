@@ -2,8 +2,8 @@
 
 from .factor import factorize, irreducibles_up_to, is_irreducible
 from .gf2poly import (
-    Poly, PolyParseError, degree, divrem, gcd, is_self_inverse, mul, parse,
-    pow_, reverse, to_hex, to_text, translate,
+    PolyParseError, degree, divrem, gcd, is_self_inverse, mul, parse, pow_,
+    reverse, to_hex, to_text, translate,
 )
 from .perfect import (
     PerfectCertificate, SearchReport, catalog, exhaustive_search,

@@ -49,7 +49,7 @@ def _cmd_factor(ns):
     fac = factorize(ns.poly)
     parts = (f'({to_text(q)})' + (f'^{e}' if e > 1 else '') for q, e in fac)
     return _emit({'poly_hex': to_hex(ns.poly), 'factors': factors_json(fac)},
-                 ns, [f'{to_text(ns.poly)} = ' + ' '.join(parts)])
+                 ns, [f'{to_text(ns.poly)} = ' + (' '.join(parts) or '1')])
 
 
 def _cmd_sigma(ns):

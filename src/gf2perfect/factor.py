@@ -197,13 +197,9 @@ def smallest_factor_tables(max_deg):
         m <<= 1
         m |= 1
         prod = np.zeros_like(m)
-        bits = p
-        shift = 0
-        while bits:
-            if bits & 1:
-                prod ^= m << shift
-            bits >>= 1
-            shift += 1
+        for i in range(p.bit_length()):
+            if p >> i & 1:
+                prod ^= m << i
         prod >>= 1
         spf[prod] = p
         quot[prod] = m

@@ -9,9 +9,9 @@ every operation here is a pure function and safe to share across threads.
 Addition is xor.  degree(0) is the sentinel -1 (distinct from the
 degree-0 constant 1).  All nonzero polynomials over GF(2) are monic.
 
-mul, divrem, rem, gcd, translate and pow_ raise ValueError for a
-negative int, with one check per call outside their loops; divexact
-raises through divrem.  square, degree, derivative, sqrt, reverse,
+mul, divrem, gcd, translate and pow_ raise ValueError for a negative
+int, with one check per call outside their loops; rem and divexact
+raise through divrem.  square, degree, derivative, sqrt, reverse,
 to_text and to_hex assume ints >= 0 and do not check.
 
 Two textual forms round-trip bit-exactly:
@@ -23,8 +23,6 @@ The parser also accepts products with '^', '*' and parentheses
 (adjacency multiplies), so factored shapes such as
 "x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)" paste in directly.
 """
-
-Poly = int
 
 X = 2  # the polynomial x
 X1 = 3  # the polynomial x+1
@@ -80,20 +78,9 @@ def divexact(p, d):
     return q
 
 
-# divrem without the quotient, for callers that reduce repeatedly, such
-# as the distinct-degree and Rabin loops kept as test oracles
 def rem(p, d):
     """Remainder of p modulo d."""
-    if d == 0:
-        raise ZeroDivisionError('division by zero polynomial')
-    if p < 0 or d < 0:
-        raise ValueError(f'expected polynomials, ints >= 0: {p}, {d}')
-    n = d.bit_length()
-    s = p.bit_length() - n
-    while s >= 0:
-        p ^= d << s
-        s = p.bit_length() - n
-    return p
+    return divrem(p, d)[1]
 
 
 def gcd(p, q):

@@ -130,8 +130,9 @@ def _odd_rounds(max_deg):
     """t[i] = sigma(2i+1) for i < 2^max_deg, as a uint32 array.
 
     With p = spf(a) and b = a // p, sigma(a) = (p+1) sigma(b), except
-    where p also divides b: there sigma(a) = sigma(b) +
-    p (sigma(b) + sigma(b // p)).  That is the three-term recurrence
+    where p also divides b: there sigma(a) = (p+1) sigma(b) +
+    p sigma(b // p), and the round adds the second term in place.
+    That is the three-term recurrence
     sigma(P^(e+1)) = (P+1) sigma(P^e) + P sigma(P^(e-1)) times the sigma
     of the cofactor coprime to p.  One round per degree d fills the a of
     degree d; b and b // p are odd and of lower degree, so a round reads
@@ -155,23 +156,22 @@ def _odd_rounds(max_deg):
             # deg sigma(p) + deg sigma(b) = deg sigma(a), so the smaller
             # has at most half that degree
             t[i:j] = _clmul(np.minimum(s, fb), np.maximum(s, fb))
-            # where p also divides b (never for b = 1, since spf[0] = 0);
-            # then p^2 divides a, so p has at most half the degree of
-            # sigma(a)
+            # where p also divides b (never for b = 1, since spf[0] = 0),
+            # add p sigma(b // p), reading sigma(b // p) at entry
+            # quot[h] >> 1; x = p there, and p^2 | a caps deg p at half
+            # of deg a, which bounds the passes
             ext = np.flatnonzero(spf[h] == p)
-            fe = fb[ext]
-            # sigma(b // p) sits at entry quot[h] >> 1
-            t[i + ext] = _clmul(p[ext], t[quot[h[ext]] >> 1] ^ fe) ^ fe
+            t[i + ext] ^= _clmul(p[ext], t[quot[h[ext]] >> 1])
     return t
 
 
 def _clmul(x, y):
     """Elementwise carryless product of unsigned arrays x and y.
 
-    One pass per bit of the largest x, so callers pass as x an operand
-    of degree at most half the product's: (x & 2^i) * y is y << i when
-    bit i of x is set and 0 otherwise.  The result and the one scratch
-    array are fresh, with the dtype of y, and products must fit in it.
+    The passes equal the bit length of x's largest entry: (x & 2^i) * y
+    is y << i when bit i of x is set and 0 otherwise.  The result and
+    the one scratch array are fresh, with the dtype of y, and products
+    must fit in it.
     """
     import numpy as np
 

@@ -54,6 +54,11 @@ def test_factor_command_round_trips_input(capsys):
         assert json.loads(out) == payload
 
 
+def test_factor_text_of_one(capsys):
+    # factorize(1) is (), and the text line names the empty product
+    assert invoke(capsys, 'factor', '1') == (0, '1 = 1\n', '')
+
+
 def test_catalog_matches_golden_file(capsys):
     code, out, _ = invoke(capsys, '--format', 'json', 'catalog')
     assert code == 0
@@ -84,6 +89,8 @@ S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
     ('certify.json', ['--format', 'json', 'certify', S1_TEXT]),
     ('factor.json', ['--format', 'json', 'factor',
                      'x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)']),
+    ('factor.txt', ['factor', 'x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)']),
+    ('irreducibles_d4.txt', ['irreducibles', '--max-deg', '4']),
     ('search_d12.json', ['--format', 'json', 'search', '--max-deg', '12']),
     ('odd_square_search_d28.json',
      ['--format', 'json', 'odd-square-search', '--max-deg', '28']),

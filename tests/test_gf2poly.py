@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from gf2perfect.gf2poly import (
     MAX_PARSE_DEGREE, MAX_PARSE_NESTING, PolyParseError, degree, derivative,
-    divrem, gcd, is_self_inverse, mul, parse, pow_, rem, reverse, sqrt,
-    square, to_hex, to_text, translate,
+    divexact, divrem, gcd, is_self_inverse, mul, parse, pow_, rem, reverse,
+    sqrt, square, to_hex, to_text, translate,
 )
 from oracles import (
     from_coeffs, list_divmod, list_gcd, list_mul, sqrt_bitloop, to_coeffs,
@@ -52,8 +52,10 @@ def test_divrem_examples():
     assert divrem((1 << 9) | 1, X1) == (0b111111111, 0)
     assert divrem(0b100, 0b100) == (1, 0)
     assert divrem(0b1011, 0b111) == (X1, X)          # frozen from long division
-    with pytest.raises(ZeroDivisionError):
-        divrem(5, 0)
+    assert rem(0b1011, 0b111) == X
+    for view in (divrem, rem, divexact):
+        with pytest.raises(ZeroDivisionError):
+            view(5, 0)
 
 
 def test_gcd_examples():
