@@ -89,8 +89,6 @@ S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
     ('certify.json', ['--format', 'json', 'certify', S1_TEXT]),
     ('factor.json', ['--format', 'json', 'factor',
                      'x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)']),
-    ('factor.txt', ['factor', 'x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)']),
-    ('irreducibles_d4.txt', ['irreducibles', '--max-deg', '4']),
     ('search_d12.json', ['--format', 'json', 'search', '--max-deg', '12']),
     ('odd_square_search_d28.json',
      ['--format', 'json', 'odd-square-search', '--max-deg', '28']),
@@ -99,6 +97,8 @@ S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
     ('catalog.txt', ['catalog']),
     ('shape_search_24_6.txt', ['shape-search', '--deg-bound', '24',
                                '--p-deg-bound', '6']),
+    ('factor.txt', ['factor', 'x^6(x+1)^3(x^3+x^2+1)(x^3+x+1)']),
+    ('irreducibles_d4.txt', ['irreducibles', '--max-deg', '4']),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = invoke(capsys, *argv)
