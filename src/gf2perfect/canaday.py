@@ -19,8 +19,8 @@ from .factor import (
     MAX_IRREDUCIBLES_DEG, factorize, irreducibles_up_to, is_irreducible,
 )
 from .gf2poly import (
-    X1, degree, derivative, divrem, gcd, is_self_inverse, mul, pow_, to_hex,
-    translate,
+    X1, degree, derivative, divexact, gcd, is_self_inverse, mul, pow_,
+    to_hex, translate,
 )
 from .sigma import sigma_prime_power
 
@@ -47,9 +47,10 @@ def special_form(p):
 
 # The caps below keep each verifier under about 5 s in the CLI on a
 # 2-CPU Xeon VM, where repeated runs spread by up to a third.  Lemma
-# 1(iv) builds and tests d + 1 candidates per degree d: 1.2 s at
-# max_deg 300, 2.9-3.4 s at 450, 4.5 s at 500 and 6.8 s at 600.
-MAX_LEMMA1IV_DEG = 450
+# 1(iv) builds (x+1)^b once per b, then tests the candidates
+# x^a (x+1)^b + 1 of degree <= max_deg: 0.4 s at 450, 1.9-2.0 s at 900,
+# 2.5 s at 1000 and 2.6-3.3 s at 1100.
+MAX_LEMMA1IV_DEG = 1000
 
 
 def verify_lemma1_iv(max_deg):
@@ -60,38 +61,38 @@ def verify_lemma1_iv(max_deg):
     if max_deg > MAX_LEMMA1IV_DEG:
         raise ValueError(f'max_deg must be <= {MAX_LEMMA1IV_DEG}')
     out = []
-    for d in range(2, max_deg + 1):
-        for a in range(d + 1):
-            p = (pow_(X1, d - a) << a) ^ 1
+    for b in range(max_deg + 1):
+        t = pow_(X1, b)
+        for a in range(max(2 - b, 0), max_deg - b + 1):
+            p = (t << a) ^ 1
             if is_self_inverse(p) and is_irreducible(p):
                 out.append(p)
     return sorted(out)
 
 
-# Lemma 4 divides sigma(x^(2h)) by sigma((x+1)^(2k)) for each k < h,
-# so a k_bound at or above h_bound adds no work: 3.8-5.5 s at h_bound =
-# k_bound = 350, 4.8 s at 380 and 6.3 s at 400.
-MAX_LEMMA4_BOUND = 350
-
-
 def verify_lemma4(h_bound, k_bound):
     """All (h, k, P, Q) with sigma(x^(2h)) = P*Q for irreducible P, Q
     and P = sigma((x+1)^(2k)); classically the single solution
-    (4, 1, 1+x+x^2, 1+x^3+x^6)."""
+    (4, 1, 1+x+x^2, 1+x^3+x^6).
+
+    sigma(x^(2h)) = (x^(2h+1) + 1) / (x + 1) is squarefree, as
+    x^(2h+1) + 1 has the derivative x^(2h), so it is P*Q exactly when
+    it has two primes; either may be the translate of 1 + ... + x^(2k),
+    with 2k its degree.  Each h costs one factorization, as in theorem
+    8, whose cap bounds both bounds.
+    """
     if h_bound < 1 or k_bound < 1:
         raise ValueError('bounds must be >= 1')
-    if max(h_bound, k_bound) > MAX_LEMMA4_BOUND:
-        raise ValueError(f'bounds must be <= {MAX_LEMMA4_BOUND}')
+    if max(h_bound, k_bound) > MAX_THEOREM8_H:
+        raise ValueError(f'bounds must be <= {MAX_THEOREM8_H}')
     out = []
     for h in range(1, h_bound + 1):
-        a = _ones(2 * h)
-        for k in range(1, k_bound + 1):
-            p = translate(_ones(2 * k))
-            if degree(p) >= degree(a):
-                break
-            q, r = divrem(a, p)
-            if r == 0 and is_irreducible(p) and is_irreducible(q):
-                out.append((h, k, p, q))
+        fac = factorize(_ones(2 * h))
+        if len(fac) == 2:
+            for (p, _), (q, _) in (fac, fac[::-1]):
+                k = degree(p) // 2
+                if 1 <= k <= k_bound and p == translate(_ones(2 * k)):
+                    out.append((h, k, p, q))
     return out
 
 
@@ -138,17 +139,17 @@ def _even_powers_work(p_deg_bound, n_bound):
 
 # Lemmas 5 and 6 build sigma(P^(2n)), of degree 2n deg(P), for every
 # prime up to the degree bound, take its gcd with its derivative, and
-# factor those that are not squarefree.  Building and the gcd pass cost
-# about linearly in the total degree, so one cap bounds
-# _even_powers_work and the two bounds trade against each other; the
-# factoring, which grows faster, sets the cap.  The CLI on a 2-CPU Xeon
-# VM at the corners of the cap (p_deg_bound/n_bound, lemmas 5 and 6,
-# 2-4 runs): 1/706 to 4/249 0.5-0.6 s, 5/176 2.6-3.4 s, 8/62 2.0-2.9 s,
-# 9/43 1.9-2.3 s, 13/10 2.5-2.7 s, 18/1 0.8-1.1 s, and 0.9-2.6 s at
-# the others.  A cap of 4 million would take 10 s at 5/249.  The
-# defaults 6 and 4 are 2,560; every pair that the cap of 60 million on
-# the sum of squared degrees admitted is at most 1,048,576 (18/1).
-MAX_EVEN_POWERS_WORK = 2_000_000
+# factor the repeated part of those that are not squarefree.  Building
+# and the gcd pass cost about linearly in the total degree, so one cap
+# bounds _even_powers_work and the two bounds trade against each other.
+# The CLI on a 2-CPU Xeon VM at the corners of the cap (as
+# p_deg_bound/n_bound, lemmas 5 and 6, 1-3 runs): 1/1580 to 7/197
+# 1.7-2.2 s, 8/139 2.5-2.9 s, 13/24 2.7-3.2 s, 16/8 2.9-3.3 s, 17/5
+# 2.1-3.6 s, 20/1 1.7-2.3 s, and 2.1-2.9 s at the others.  In-process,
+# twice the cap takes 5.4 s at 13/34 and 5.8 s at 5/558.  The defaults
+# 6 and 4 are 2,560; every pair that the cap of 60 million on the sum
+# of squared degrees admitted is at most 1,048,576 (18/1).
+MAX_EVEN_POWERS_WORK = 10_000_000
 
 
 def _sigma_even_powers(p_deg_bound, n_bound):
@@ -160,20 +161,26 @@ def _sigma_even_powers(p_deg_bound, n_bound):
         raise ValueError(
             'bounds too large: 2^(p_deg_bound+1) n_bound (n_bound+1) must '
             f'be <= {MAX_EVEN_POWERS_WORK}')
-    # a squarefree s (gcd(s, s') == 1) has no repeated factor, so it can
-    # violate neither lemma and is not factored
-    return ((p, n, factorize(s))
+    # g = gcd(s, s') holds each prime of s at e or e - 1, whichever is
+    # even, for its multiplicity e, so h = g gcd(s/g, g) holds those of
+    # e >= 2 at exactly e and no other.  A squarefree s (g == 1) can
+    # violate neither lemma and is skipped; otherwise only h is factored,
+    # and the simple primes follow as their product at 1, which makes
+    # lemma 5's gcd 1 and gives lemma 6 no row.
+    return ((p, n, factorize(h) + ((divexact(s, h), 1),) * (h != s))
             for p in irreducibles_up_to(p_deg_bound)
             for n in range(1, n_bound + 1)
             for s in (sigma_prime_power(p, 2 * n),)
-            if gcd(s, derivative(s)) != 1)
+            for g in (gcd(s, derivative(s)),) if g != 1
+            for h in (mul(g, gcd(divexact(s, g), g)),))
 
 
 # Theorem 8 factors 1 + x + ... + x^(2h) for every h, up to degree 1200:
-# the CLI takes 0.4-0.6 s at h_bound 300 and 1.8-2.1 s at 600 on a
+# the CLI takes 0.4-0.6 s at h_bound 300 and 1.5-2.1 s at 600 on a
 # 2-CPU Xeon VM, and verify_theorem8(700) takes 3.2-3.5 s in-process,
 # so 600 keeps it within the 1-3.5 s that lemmas 1(iv), 5 and 6 cost at
-# their caps.
+# their caps.  Lemma 4 does the same factorizations and shares the cap:
+# 1.4 s at 600/600 and 0.4-0.6 s at 350/1.
 MAX_THEOREM8_H = 600
 
 

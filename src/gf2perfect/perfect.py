@@ -432,11 +432,12 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
     )
 
 
-# The cost is factoring the seeds' sigma(P^e), and about 8 in 9 seeds
-# die at that first factorization, on a prime below P.  On a 2-CPU Xeon
-# VM the CLI takes 0.1 s and 16 MB at 48, 1.0-1.2 s at 84, 4.0 s at 96
-# and 3.6-4.9 s and 32 MB at 100; at 102 the primes of degree 17 enter
-# as seeds, and with the cap lifted it takes 6.7 s and 31 MB in-process.
+# The cost is factoring the seeds' sigma(P^e).  With the seeds cut to
+# deg P <= N/8 and 2e deg P <= N, a 2-CPU Xeon VM takes 0.06 s at 48,
+# 0.09 s at 84 and 0.3-0.4 s and 29 MB at 96 and at 100 in the CLI,
+# where 100 has 1,608 seeds and enters 863 states; with the cap lifted,
+# odd_square_search(120) takes 0.8 s in-process.  Up to 167 the seeds
+# stay within the sieve's degree cap.
 MAX_ODD_SQUARE_DEG = 100
 
 
@@ -448,14 +449,25 @@ def odd_square_search(max_deg):
     prime.  The closure R of P in A, its prime powers reached from P
     through the primes of their sigmas, is perfect: sigma(R) divides
     sigma(A) = A and has only primes of R, so it divides R, and the
-    degrees agree.  Its primes are all >= P, at even exponents >= 2,
-    and omega(R) >= 3: one prime fails as sigma(P^e) = 1 mod P, two by
-    the derivative argument of shape_search.  So 6 deg P <= deg A.  The
-    search runs _closure from {P: e} for every odd prime P of degree
-    <= max_deg / 6 and every even e with e deg P <= max_deg; following
-    R's exponents, it closes on R.  No closed state means no odd
-    perfect polynomial in range, and every closed state is certified
-    and reported.
+    degrees agree.  Its primes are all >= P, so of degree >= d = deg P,
+    at even exponents >= 2, and omega(R) >= 3: one prime fails as
+    sigma(P^e) = 1 mod P, two by the derivative argument of
+    shape_search.  The primes of sigma(P^e), of degree ed and prime to
+    P, lie in R at least as often, beside P^e, so 2ed <= deg R, and
+    e >= 4 gives 8d <= deg R.  For e = 2, a repeated prime of
+    sigma(P^2) = P^2 + P + 1 would divide its derivative P' != 0, of
+    degree < d, but all of R's primes have degree >= d; so sigma(P^2)
+    is squarefree, one prime Q of degree 2d or two primes Q, S of
+    degree d.  With Q, a third prime gives 2d + 4d + 2d <= deg R.  With
+    Q and S, R holds P^2 Q^2 S^2, of degree 6d, and anything more adds
+    at least 2d.  If R = P^2 Q^2 S^2, then sigma(Q^2) = PS in the same
+    way, and adding sigma(P^2) = QS gives (P+Q)(P+Q+1) = S(P+Q), so
+    S = P+Q+1 has degree < d, which cannot be.  So 8 deg P <= deg A.
+    The search runs _closure from {P: e} for every odd prime P of
+    degree <= max_deg / 8 and every even e with 2e deg P <= max_deg;
+    following R's exponents, it closes on R.  No closed state means no
+    odd perfect polynomial in range, and every closed state is
+    certified and reported.
 
     candidates_examined counts the B != 1 coprime to x of degree
     <= max_deg / 2, squarefree or not, and divisible by x+1 or not:
@@ -467,8 +479,8 @@ def odd_square_search(max_deg):
         raise ValueError('max_deg must be even (candidates are squares)')
     if not 2 <= max_deg <= MAX_ODD_SQUARE_DEG:
         raise ValueError(f'max_deg must be in 2..{MAX_ODD_SQUARE_DEG}')
-    seeds = ({p: e} for p in irreducibles_up_to(max(max_deg // 6, 1))[2:]
-             for e in range(2, max_deg // degree(p) + 1, 2))
+    seeds = ({p: e} for p in irreducibles_up_to(max(max_deg // 8, 1))[2:]
+             for e in range(2, max_deg // (2 * degree(p)) + 1, 2))
     _, closed = _closure(seeds, max_deg, max_deg, max_deg)
     return SearchReport(
         kind='odd-square',

@@ -43,6 +43,9 @@ exponent) pairs.  even_power_violations_factoring is lemmas 5 and 6
 without the squarefree prefilter: it builds every sigma(P^(2n)) by
 Horner's rule and factors it with factorize_ddf_edf, so it checks that
 the prefilter drops only sigmas that cannot violate either lemma.
+lemma4_scan is the k-by-k trial division that reading the two primes
+of one factorization replaced in verify_lemma4; it shares only the
+gf2poly kernels with it.
 """
 
 import math
@@ -545,3 +548,19 @@ def even_power_violations_factoring(p_deg_bound, n_bound):
                     if degree(p) <= (m - 1 if m % 2 else m) * degree(q):
                         lemma6.append({'p': p, 'n': n, 'q': q, 'm': m})
     return lemma5, lemma6
+
+
+def lemma4_scan(h_bound, k_bound):
+    """verify_lemma4 by trial division: for each h and each k with
+    deg sigma((x+1)^(2k)) < 2h, divide sigma(x^(2h)) by sigma((x+1)^(2k))
+    and keep the exact quotients where both P and Q pass Rabin's test.
+    No bound is capped."""
+    out = []
+    for h in range(1, h_bound + 1):
+        a = (1 << (2 * h + 1)) - 1
+        for k in range(1, min(k_bound, h - 1) + 1):
+            p = translate((1 << (2 * k + 1)) - 1)
+            q, r = divrem(a, p)
+            if r == 0 and is_irreducible_rabin(p) and is_irreducible_rabin(q):
+                out.append((h, k, p, q))
+    return out

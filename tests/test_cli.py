@@ -238,19 +238,19 @@ def test_usage_errors_exit_2(capsys):
     ('irreducibles', '--max-deg', '40'),
     ('shape-search', '--deg-bound', '40', '--p-deg-bound', '40'),
     ('verify-lemma', '5', '--p-deg-bound', '40'),
-    ('verify-lemma', '5', '--p-deg-bound', '16'),
+    ('verify-lemma', '5', '--p-deg-bound', '18'),
     ('verify-lemma', '5', '--p-deg-bound', '20'),
-    ('verify-lemma', '6', '--p-deg-bound', '16'),
+    ('verify-lemma', '6', '--p-deg-bound', '18'),
     ('verify-lemma', '6', '--p-deg-bound', '20'),
     ('shape-search', '--deg-bound', '801', '--p-deg-bound', '8'),
     ('shape-search', '--deg-bound', '100000', '--p-deg-bound', '8'),
-    ('verify-lemma', '1iv', '--max-deg', '451'),
-    ('verify-lemma', '4', '--h-bound', '351'),
-    ('verify-lemma', '4', '--k-bound', '351'),
+    ('verify-lemma', '1iv', '--max-deg', '1001'),
+    ('verify-lemma', '4', '--h-bound', '601'),
+    ('verify-lemma', '4', '--k-bound', '601'),
     ('verify-lemma', '4', '--h-bound', '2000', '--k-bound', '2000'),
-    ('verify-lemma', '5', '--p-deg-bound', '13', '--n-bound', '11'),
-    ('verify-lemma', '5', '--n-bound', '125'),
-    ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '11'),
+    ('verify-lemma', '5', '--p-deg-bound', '13', '--n-bound', '25'),
+    ('verify-lemma', '5', '--n-bound', '280'),
+    ('verify-lemma', '6', '--p-deg-bound', '13', '--n-bound', '25'),
     ('verify-lemma', '8', '--h-bound', '601'),
     ('verify-lemma', '8', '--h-bound', '800'),
     ('certify', '0x' + 'f' * 5000),

@@ -349,8 +349,8 @@ def test_odd_square_search_reports_each_closed_state(monkeypatch):
 
 
 def test_odd_square_search_prunes_below_the_least_prime(monkeypatch):
-    # at 48 the search has 250 seeds; with no seed check the closure
-    # enters 400 states, and with no check on the children 132
+    # at 48 the search has 53 seeds; with no seed check the closure
+    # enters 163 states, and with no check on the children 75
     runs = []
 
     def spy(*args):
@@ -359,7 +359,40 @@ def test_odd_square_search_prunes_below_the_least_prime(monkeypatch):
 
     monkeypatch.setattr(perfect_module, '_closure', spy)
     odd_square_search(48)
-    assert runs == [(100, [])]
+    assert runs == [(51, [])]
+
+
+@pytest.mark.parametrize('max_deg', range(2, 73, 2))
+def test_odd_square_search_drops_only_dead_seeds(max_deg):
+    # the seeds of deg P <= N/6 and e deg P <= N, less those of
+    # deg P <= N/8 and 2e deg P <= N that the search keeps, close on
+    # nothing when run alone; those with 2e deg P > N (cut E) are
+    # skipped by least prime or pruned at entry, while a P^2 of
+    # N/8 < deg P <= N/6 (cut 8) may enter a few children first
+    def seeds(p_div, e_div):
+        primes = irreducibles_up_to(max(max_deg // p_div, 1))[2:]
+        return {(p, e) for p in primes
+                for e in range(2, max_deg // (e_div * degree(p)) + 1, 2)}
+
+    for p, e in seeds(6, 1) - seeds(8, 2):
+        states, closed = _closure([{p: e}], max_deg, max_deg, max_deg)
+        assert closed == []
+        if 2 * e * degree(p) > max_deg:
+            assert states <= 1
+
+
+def test_sigma_of_a_prime_squared_is_squarefree_over_high_primes():
+    # the squarefree step of odd_square_search's cut to deg P <= N/8:
+    # sigma(P^2) of an odd prime P is squarefree when all of its primes
+    # have degree >= deg P, and only then is it sure to be
+    kept = repeated = 0
+    for p in irreducibles_up_to(12)[2:]:
+        fac = factorize(sigma_prime_power(p, 2))
+        if all(degree(q) >= degree(p) for q, _ in fac):
+            assert all(e == 1 for _, e in fac)
+            kept += 1
+        repeated += any(e >= 2 for _, e in fac)
+    assert kept and repeated
 
 
 def test_odd_square_search_degree_40():
