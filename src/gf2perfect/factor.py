@@ -15,8 +15,11 @@ from functools import lru_cache
 from .gf2poly import X, X1, degree, derivative, divexact, gcd, sqrt, to_hex
 
 # irreducibles_up_to lists the primes of degree <= _NUMPY_FREE_DEG by
-# testing each candidate, so small bounds never import numpy
-_NUMPY_FREE_DEG = 10
+# testing each candidate, so small bounds never import numpy; on a
+# 2-CPU Xeon VM that takes 7 ms at degree 11 and 15 ms at 12 (33 ms at
+# 13), where importing numpy takes 155-170 ms.  12 is also the largest
+# list the sieve builds by test, for smallest_factor_tables(24).
+_NUMPY_FREE_DEG = 12
 
 
 def is_irreducible(p):

@@ -212,7 +212,12 @@ def _sigma_primes(p, e):
     sigma(p^e) = (p+1)^(2^s - 1) sigma(p^(u-1))^(2^s) combines the
     factors of sigma(p) and of the even power sigma(p^(u-1)).  Only
     e = 1 and even e are factored directly.  The cache is bounded, since
-    most odd-search seeds are factored once and then die.
+    most odd-search seeds are factored once and then die; 4,096 entries
+    suffice, as shape_search(800, 20) fills 4,055 and evicts nothing.
+    It lives as long as the process, so a search run after another one
+    in the same process reuses that search's factorizations: to time a
+    search in-process, call _sigma_primes.cache_clear() first, or run it
+    in a fresh process.
     """
     if p == X1:
         return tuple(sorted((translate(q), m) for q, m in _sigma_primes(X, e)))
@@ -233,16 +238,16 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     primes of their sigmas, the set pending of needed, undecided primes,
     and rest, the decided degree plus need[q] deg q over pending q; every
     prime of a perfect A is needed, since sigma(P^e) = 1 mod P.  Each
-    seed dict {prime: exp} names the least prime of the A sought,
-    min(seed): a seed or child whose sigma has a prime below it is
-    skipped.  No prime is below x, so the seed check runs only when the
-    least prime is not x.  When it is not, every exponent is even,
-    since x | q + 1 | sigma(q^e) for a prime q != x and odd e.  From each
+    seed dict {prime: exp} lists first the least prime of the A sought,
+    least = min(seed): a seed or child whose sigma has a prime below it
+    is pruned.  When least is not x, every exponent is even, since
+    x | q + 1 | sigma(q^e) for a prime q != x and odd e.  From each
     seed, the lowest pending prime is decided at each exponent from its
     need (rounded up to even when exponents are even) up to the degree
     budget.  A state is pruned when need[q] > dec[q] for a decided q,
     when more than max_omega primes are in play, when a pending prime
-    has degree above p_deg_bound, or when rest exceeds deg_bound.  With
+    has degree above p_deg_bound, when rest exceeds deg_bound, or when
+    sigma(p^e) of the prime p just decided has a prime below least.  With
     prune, a second odd prime is not decided at e beside one at l when
     _classify_pattern(l, e) names a lemma (sound only if no closure
     holds three odd primes).
@@ -254,24 +259,29 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     moves by (e - need[p]) deg p plus m deg q for each undecided q^m in
     sigma(p^e).  A seed is decided prime by prime from the empty state
     and entered once; a check that fails midway fails on the whole seed
-    too.  Each sigma(p^e) comes from _sigma_primes.
+    too.  decide is the one place that tries a move, deciding p at e: it
+    fetches sigma(p^e) from _sigma_primes and runs every check.  The
+    decision of a seed's first prime is cached from one seed to the
+    next; its result depends on least, so this relies on each seed
+    listing its least prime first.
 
     A closed state (nothing pending) is perfect: need <= dec, and
     deg sigma(p^e) = e deg p makes their degrees equal, so need == dec.
-    closed lists their dec; states counts the states entered, seeds and
-    pruned children included.
+    closed lists their dec; states counts every move tried, one per seed
+    and one per child, those that a check prunes included.
     """
     closed = []
     states = 0
 
-    def decide(dec, need, pending, rest, p, e, primes):
-        # the state after deciding p at e, sigma(p^e) = primes, or None
-        # when a check prunes it; rest only grows and the room for new
-        # pending primes only shrinks, so each check exits at once
+    def decide(dec, need, pending, rest, p, e):
+        # the state after deciding p at e, or None when a check prunes
+        # it; rest only grows and the room for new pending primes only
+        # shrinks, so each check exits at once
+        primes = _sigma_primes(p, e)
         n = need.get(p, 0)
         rest += (e - n) * (p.bit_length() - 1)
         room = max_omega - len(dec) - len(pending) - (p not in pending)
-        if n > e or rest > deg_bound or room < 0:
+        if n > e or rest > deg_bound or room < 0 or primes[0][0] < least:
             return None
         fresh = []
         for q, m in primes:
@@ -307,11 +317,8 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
         for e in range(n + n % step, n + (deg_bound - rest) // d + 1, step):
             if len(odd) == 1 and _classify_pattern(odd[0], e) is not None:
                 continue
-            primes = _sigma_primes(low, e)
-            if primes[0][0] < least:
-                continue
             states += 1
-            child = decide(dec, need, pending, rest, low, e, primes)
+            child = decide(dec, need, pending, rest, low, e)
             if child is not None:
                 visit(*child)
 
@@ -319,21 +326,18 @@ def _closure(seeds, deg_bound, p_deg_bound, max_omega, prune=False):
     def start(p, e):
         # a seed's first prime decided; consecutive seeds {x: h, x+1: k}
         # of shape_search share it
-        return decide({}, {}, frozenset(), 0, p, e, _sigma_primes(p, e))
+        return decide({}, {}, frozenset(), 0, p, e)
 
     for seed in seeds:
         least = min(seed)
         step = 1 if least == X else 2
-        if least != X and any(_sigma_primes(p, e)[0][0] < least
-                              for p, e in seed.items()):
-            continue
         states += 1
         items = iter(seed.items())
         state = start(*next(items))
         for p, e in items:
             if state is None:
                 break
-            state = decide(*state, p, e, _sigma_primes(p, e))
+            state = decide(*state, p, e)
         if state is not None:
             visit(*state)
     return states, closed
@@ -433,11 +437,12 @@ def shape_search(deg_bound, p_deg_bound, use_pruning=True):
 
 
 # The cost is factoring the seeds' sigma(P^e).  With the seeds cut to
-# deg P <= N/8 and 2e deg P <= N, a 2-CPU Xeon VM takes 0.06 s at 48,
-# 0.09 s at 84 and 0.3-0.4 s and 29 MB at 96 and at 100 in the CLI,
-# where 100 has 1,608 seeds and enters 863 states; with the cap lifted,
-# odd_square_search(120) takes 0.8 s in-process.  Up to 167 the seeds
-# stay within the sieve's degree cap.
+# deg P <= N/8 and 2e deg P <= N, a 2-CPU Xeon VM takes 0.1 s at 48 and
+# at 84 and 0.2-0.3 s and 15 MB at 96 and at 100 in the CLI, where 100
+# has 1,608 seeds and tries 2,357 moves; its seeds, of degree <= 12, are
+# listed without numpy.  With the cap lifted, odd_square_search(120)
+# takes 0.8-1.0 s in-process.  Up to 167 the seeds stay within the
+# sieve's degree cap.
 MAX_ODD_SQUARE_DEG = 100
 
 

@@ -153,7 +153,8 @@ def test_irreducibles_match_bruteforce_sieve():
 
 @pytest.mark.parametrize('d', [11, 12, 13, 14])
 def test_irreducibles_from_sieve_match_rabin(d):
-    # above degree 10 the public list reads the sieve's primes
+    # at 11 and 12 this checks the listing by is_irreducible against
+    # Rabin's test, and at 13 and 14 the sieve's primes
     polys = irreducibles_up_to(d)
     assert polys == list(irreducibles_rabin(d))
     assert all(type(p) is int for p in polys)
@@ -163,10 +164,11 @@ NUMPY_PROBE = '''
 import sys
 sys.path.insert(0, sys.argv[1])
 from gf2perfect.factor import irreducibles_up_to
-from gf2perfect.perfect import shape_search
-irreducibles_up_to(10)
+from gf2perfect.perfect import odd_square_search, shape_search
+irreducibles_up_to(12)
 shape_search(40, 8)
 shape_search(60, 20)  # the tally counts primes without listing them
+odd_square_search(100)  # its seeds have degree <= 12
 print('numpy' in sys.modules)
 '''
 

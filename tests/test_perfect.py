@@ -349,8 +349,8 @@ def test_odd_square_search_reports_each_closed_state(monkeypatch):
 
 
 def test_odd_square_search_prunes_below_the_least_prime(monkeypatch):
-    # at 48 the search has 53 seeds; with no seed check the closure
-    # enters 163 states, and with no check on the children 75
+    # at 48 the closure tries 98 moves: the 53 seeds and 45 children;
+    # the least-prime rule kills 47 of them, 33 seeds and 14 children
     runs = []
 
     def spy(*args):
@@ -359,7 +359,7 @@ def test_odd_square_search_prunes_below_the_least_prime(monkeypatch):
 
     monkeypatch.setattr(perfect_module, '_closure', spy)
     odd_square_search(48)
-    assert runs == [(51, [])]
+    assert runs == [(98, [])]
 
 
 @pytest.mark.parametrize('max_deg', range(2, 73, 2))
