@@ -45,10 +45,10 @@ def _irreducibles_up_to(d):
                            if c.bit_count() & 1 and is_irreducible(c))
 
 
-# Above _NUMPY_FREE_DEG the primes come from the sieve (0.05-0.14 s at
-# degree 20 on a 2-CPU Xeon VM, where testing each candidate takes
-# 6.5 s), so the cap bounds its 2^d-entry tables and the output: 111,013
-# primes at 20.
+# Above _NUMPY_FREE_DEG the primes come from the wheel sieve (16-24 ms
+# at degree 20 on a 2-CPU Xeon VM once numpy is imported, where testing
+# each candidate takes 6.5 s), so the cap bounds its 2^(d-1)-entry
+# tables and the output: 111,013 primes at 20.
 MAX_IRREDUCIBLES_DEG = 20
 
 
@@ -57,8 +57,8 @@ def irreducibles_up_to(d):
 
     Up to degree _NUMPY_FREE_DEG this is the cached list of the
     candidates that pass is_irreducible, with no numpy import; above it,
-    x and the primes of the odd-only sieve, whose entries with quot == 1
-    are the odd irreducibles.
+    x, x+1 and the primes of the wheel sieve, the entries c >= 1 with
+    quot == 0.
     """
     if d < 1:
         raise ValueError('degree bound must be >= 1')
@@ -67,7 +67,8 @@ def irreducibles_up_to(d):
     if d <= _NUMPY_FREE_DEG:
         return list(_irreducibles_up_to(d))
     _, quot = smallest_factor_tables(d)
-    return [X] + (2 * (quot == 1).nonzero()[0] + 1).tolist()
+    # expand is ascending, so the primes come out in order
+    return [X, X1] + expand((quot[1:] == 0).nonzero()[0] + 1).tolist()
 
 
 def irreducible_counts(max_deg):
@@ -172,41 +173,77 @@ def _berlekamp(w):
     return pieces
 
 
-def smallest_factor_tables(max_deg):
-    """Tables (spf, quot) over the odd ints below 2^(max_deg+1).
+def prefix_xor(v):
+    """Bit i of the result is the xor of the bits >= i of v, for an int
+    or an unsigned array below 2^32.
 
-    Entry i describes a = 2i+1: spf[i] is the least irreducible factor
-    of a (as an int) and quot[i] = a // spf[i]; entry 0 (a = 1) is left
-    as zero.  Both tables are uint32 of length 2^max_deg.  Even a are
-    implicit: their least prime is x and their quotient is a >> 1.
+    Bit 0 is the parity of v's weight, so x+1 divides v iff it is 0,
+    and then the result is v / (x+1) shifted up by one: if v = (x+1) q,
+    bit i of v is q_i + q_(i-1), so bit i+1 of the result is q_i.
+    """
+    for s in (1, 2, 4, 8, 16):
+        v = v ^ (v >> s)
+    return v
 
-    A linear sieve marks each odd composite once, by its least prime:
-    for each irreducible p != x of degree <= max_deg/2, in ascending
-    order, the odd cofactors m still unmarked have no prime factor below
-    p, so every p*m (odd, stored at (p*m) >> 1) gets spf = p.  For x+1,
-    the first, nothing is marked yet, so that is every odd m.  Anything
-    unmarked afterwards has no factor of degree <= max_deg/2 and is
-    therefore itself irreducible.
+
+def expand(c):
+    """The odd, odd-weight polynomials at compact indices c (an integer
+    array below 2^30) of the wheel tables: c << 2, with bit 1 set to
+    the weight parity of c, and bit 0 set.
+
+    Its inverse is a >> 2.  The map is ascending, and it is onto the
+    polynomials prime to x^2+x, since x divides an even a and x+1 an a
+    of even weight.
     """
     import numpy as np
 
-    size = 1 << max_deg
+    return c << 2 | (np.bitwise_count(c) & 1) << 1 | 1
+
+
+def smallest_factor_tables(max_deg):
+    """Wheel tables (spf, quot) over the polynomials of degree <= max_deg
+    that are prime to x^2+x.
+
+    Those are the odd a of odd weight, a quarter of all, and entry c
+    describes a = expand(c), so c = a >> 2: spf[c] is the least prime
+    factor of a (as an int) and quot[c] is the compact index of the
+    cofactor a // spf[c], so 0 for a prime; entry 0 (a = 1) is left as
+    zero.  Both tables are uint32 of length 2^(max_deg-1), for
+    max_deg >= 1.  This is a wheel on x^2+x, the analogue of 2 in the
+    integers: the other three quarters are the multiples of x or x+1,
+    whose least prime is x or x+1 and whose cofactor is a >> 1 or
+    prefix_xor(a) >> 1, so sigma_table fills them from these entries
+    with no sieve.  Keeping them cost the sieve the marking of every
+    multiple of x+1, its largest pass, and doubled its tables.  The
+    product of two a prime to x^2+x is again one, so the sieve never
+    leaves the wheel.
+
+    A linear sieve marks each composite once, by its least prime: for
+    each prime p from x^2+x+1 up to degree max_deg/2, in ascending
+    order, the cofactors m still unmarked have no prime factor below p,
+    so every p*m (stored at (p*m) >> 2) gets spf = p.  For x^2+x+1, the
+    first, nothing is marked yet, so that is every m.  Anything unmarked
+    afterwards has no factor of degree <= max_deg/2 and is therefore
+    itself a prime, with spf its own polynomial.
+    """
+    import numpy as np
+
+    size = 1 << (max_deg - 1)
     spf = np.zeros(size, dtype=np.uint32)
     quot = np.zeros(size, dtype=np.uint32)
-    for p in _irreducibles_up_to(max_deg // 2)[1:]:
-        # odd m with deg(p*m) <= max_deg sit at entries below n
+    for p in _irreducibles_up_to(max_deg // 2)[2:]:
+        # m with deg(p*m) <= max_deg sit at entries below n
         n = size >> degree(p)
         m = np.flatnonzero(spf[:n] == 0).astype(np.uint32)
-        m <<= 1
-        m |= 1
-        prod = np.zeros_like(m)
+        a = expand(m)
+        prod = np.zeros_like(a)
         for i in range(p.bit_length()):
             if p >> i & 1:
-                prod ^= m << i
-        prod >>= 1
+                prod ^= a << i
+        # one index conversion for both writes
+        prod = (prod >> 2).astype(np.intp)
         spf[prod] = p
         quot[prod] = m
-    leftovers = np.flatnonzero(spf[1:] == 0).astype(np.uint32) + 1
-    spf[leftovers] = 2 * leftovers + 1
-    quot[leftovers] = 1
+    primes = np.flatnonzero(spf[1:] == 0).astype(np.uint32) + 1
+    spf[primes] = expand(primes)
     return spf, quot

@@ -136,10 +136,10 @@ def catalog():
 
 
 # The bulk tables are the uint32 sigma table of 2^(max_deg+1) entries and
-# the sieve's two odd-only uint32 tables of half that, which are freed
-# before the sigma table is built; a degree-24 search peaks at about
-# 250 MB, and that doubles per degree.  uint32 entries would also wrap
-# past degree 31.
+# the sieve's two uint32 wheel tables of a quarter of that each, which
+# are freed before the sigma table is built; a degree-24 search peaks
+# at about 215 MB, and that doubles per degree.  uint32 entries would
+# also wrap past degree 31.
 MAX_EXHAUSTIVE_DEG = 24
 
 

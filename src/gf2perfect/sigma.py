@@ -6,9 +6,11 @@ prime power as the geometric series (P^(n+1) + 1) / (P + 1), multiplied
 out.
 
 The bulk table sigma_table (sigma(a) for every a up to a degree) is
-filled by a round loop over the odd-only smallest-factor sieve, built
-on the recurrence below.  fixed_points scans it for the a with
-sigma(a) = a.
+filled by a round loop over the smallest-factor sieve, built on the
+recurrence below.  The sieve is a wheel on x^2+x: it covers only the a
+prime to x^2+x, and sigma_table fills the multiples of x+1 from those
+by exact division, then the multiples of x by slicing.  fixed_points
+scans the table for the a with sigma(a) = a.
 
 Characteristic-2 prime-power identities, each tested against that path:
 
@@ -22,7 +24,7 @@ Characteristic-2 prime-power identities, each tested against that path:
 from enum import Enum
 from functools import reduce
 
-from .factor import factorize, smallest_factor_tables
+from .factor import factorize, prefix_xor, smallest_factor_tables
 from .gf2poly import divexact, mul, pow_
 
 
@@ -76,27 +78,59 @@ def parity(a):
     return Parity.ODD
 
 
-# Entries per block of a round.  Every temporary of a round is at most
-# block-sized, so the working set is the tables plus a few block-sized
-# arrays whatever max_deg is.
+# Entries per block of a round, a power of two so that the pair pass's
+# blocks are aligned to their size.  Every temporary of a round is at
+# most block-sized, so the working set is the tables plus a few
+# block-sized arrays whatever max_deg is.
 _BLOCK = 1 << 15
 
 
 def sigma_table(max_deg):
     """sigma(a) for every a of degree <= max_deg, as a uint32 array.
 
-    Entry a holds sigma(a); entry 0 is unused.  The odd entries come
-    from _odd_rounds in a contiguous array of their own, so the sieve is
-    freed before this table is allocated.  An even a has p = x and
-    b = a >> 1, so sigma(a) = (x+1) sigma(b), plus x sigma(a >> 2) when
-    4 | a; one slice per degree d fills them, reading degrees d-1 and
-    d-2 only.  Entries must fit in uint32, so max_deg <= 31.
+    Entry a holds sigma(a); entry 0 is unused.  The a prime to x^2+x
+    come from _wheel_rounds in a compact array of their own, so the
+    sieve is freed before this table is allocated.  The rest of the odd
+    half is filled one degree d at a time, one pair (4c+1, 4c+3) at a
+    time: one of the pair has odd weight and is expand(c), and the
+    other is (x+1) b with b = 2 prefix_xor(c) + 1 of degree d-1, so
+    sigma((x+1) b) = x sigma(b), plus (x+1) sigma(b / (x+1)) where x+1
+    divides b, and b / (x+1) is prefix_xor(prefix_xor(c)), odd exactly
+    then.  An even a has p = x and b = a >> 1, so sigma(a) = (x+1)
+    sigma(b), plus x sigma(a >> 2) when 4 | a; one slice per degree d
+    fills them, reading degrees d-1 and d-2 only.  Entries must fit in
+    uint32, so max_deg <= 31.
     """
     import numpy as np
 
-    # entry 2i+1 is odd[i]; every even entry above 0 is overwritten below
-    sig = np.repeat(_odd_rounds(max_deg), 2)
-    sig[0] = 0
+    t = _wheel_rounds(max_deg)
+    sig = np.empty(2 << max_deg, dtype=np.uint32)
+    sig[:2] = 0, 1  # the first pair reads sigma(1)
+    # prefix_xor is linear and a block's lo has no bits below the block
+    # size, so over the block it is the ramp's prefix_xor xor that of lo
+    g_ramp = prefix_xor(np.arange(_BLOCK, dtype=np.uint32))
+    h_ramp = prefix_xor(g_ramp)
+    for d in range(1, max_deg + 1):
+        for lo in range(1 << d >> 2, 1 << d >> 1, _BLOCK):
+            n = min(_BLOCK, (1 << d >> 1) - lo)
+            g = g_ramp[:n] ^ prefix_xor(lo)
+            h = h_ramp[:n] ^ prefix_xor(prefix_xor(lo))
+            s = sig[2 * g + 1] << 1
+            # an even h reads sig[0] = 0 in place of sigma(b / (x+1))
+            h *= h & 1
+            v = sig[h]
+            v ^= v << 1
+            s ^= v
+            # column 1 holds 4c+1 and column 3 holds 4c+3, and the one of
+            # odd weight takes t[c]: 4c+3 where c has odd weight, that is
+            # where g is odd, so swap s and t[c] there
+            pair = sig[4 * lo:4 * (lo + n)].reshape(-1, 4)
+            tc = t[lo:lo + n]
+            swap = s ^ tc
+            swap *= g & 1
+            np.bitwise_xor(tc, swap, out=pair[:, 1])
+            np.bitwise_xor(s, swap, out=pair[:, 3])
+    del t  # the slices need the table alone
     for d in range(1, max_deg + 1):
         lo, hi = 1 << d, 2 << d
         # for d = 1 the x sigma(a >> 2) term reads sig[0] = 0
@@ -126,8 +160,8 @@ def fixed_points(max_deg):
     return [a for a in found if a >= 2]
 
 
-def _odd_rounds(max_deg):
-    """t[i] = sigma(2i+1) for i < 2^max_deg, as a uint32 array.
+def _wheel_rounds(max_deg):
+    """t[c] = sigma(expand(c)) over the wheel tables, as a uint32 array.
 
     With p = spf(a) and b = a // p, sigma(a) = (p+1) sigma(b), except
     where p also divides b: there sigma(a) = (p+1) sigma(b) +
@@ -135,22 +169,22 @@ def _odd_rounds(max_deg):
     That is the three-term recurrence
     sigma(P^(e+1)) = (P+1) sigma(P^e) + P sigma(P^(e-1)) times the sigma
     of the cofactor coprime to p.  One round per degree d fills the a of
-    degree d; b and b // p are odd and of lower degree, so a round reads
-    only finished entries.  Each round gathers through the odd-only
-    sieve in blocks of _BLOCK entries, and every temporary is a fresh
-    array of at most one block.
+    degree d, at c in [2^(d-2), 2^(d-1)); b and b // p are prime to
+    x^2+x and of lower degree, so a round reads only finished entries.
+    Each round gathers through the sieve in blocks of _BLOCK entries,
+    and every temporary is a fresh array of at most one block.
     """
     import numpy as np
 
     spf, quot = smallest_factor_tables(max_deg)
     # sigma(1) = 1; the rounds fill the rest
     t = np.ones(len(spf), dtype=np.uint32)
-    for d in range(1, max_deg + 1):
-        # odd a = 2i+1 of degree d, for i in [2^(d-1), 2^d)
-        for i in range(1 << (d - 1), 1 << d, _BLOCK):
-            j = min(i + _BLOCK, 1 << d)
+    for d in range(2, max_deg + 1):
+        for i in range(1 << (d - 2), 1 << (d - 1), _BLOCK):
+            j = min(i + _BLOCK, 1 << (d - 1))
             p = spf[i:j]
-            h = quot[i:j] >> 1  # b = 2h+1
+            # one index conversion for the three gathers through h
+            h = quot[i:j].astype(np.intp)
             s = p ^ 1
             fb = t[h]
             # deg sigma(p) + deg sigma(b) = deg sigma(a), so the smaller
@@ -158,10 +192,10 @@ def _odd_rounds(max_deg):
             t[i:j] = _clmul(np.minimum(s, fb), np.maximum(s, fb))
             # where p also divides b (never for b = 1, since spf[0] = 0),
             # add p sigma(b // p), reading sigma(b // p) at entry
-            # quot[h] >> 1; x = p there, and p^2 | a caps deg p at half
-            # of deg a, which bounds the passes
+            # quot[h]; p^2 | a caps deg p at half of deg a, which bounds
+            # the passes
             ext = np.flatnonzero(spf[h] == p)
-            t[i + ext] ^= _clmul(p[ext], t[quot[h[ext]] >> 1])
+            t[i + ext] ^= _clmul(p[ext], t[quot[h[ext]]])
     return t
 
 

@@ -16,8 +16,9 @@ leading prime power's sigma by its cofactor's, so it checks both the
 blocked degree-slice rounds and the three-term recurrence they use,
 without sharing the production sieve.  smallest_factor_tables_marking
 is the full-size sieve that marks every product p*m of each irreducible
-p, first-set-wins, so its odd entries check the production odd-only
-linear sieve, which marks each composite once.  shape_search_grid and
+p, first-set-wins, so its entries at expand(c) check the production
+wheel sieve, a linear sieve over the polynomials prime to x^2+x that
+marks each composite once.  shape_search_grid and
 shape_search_pinned walk every (P, Q, l, m) over the irreducibles up
 to the prime degree bound and test sigma(A) = A directly, on the whole
 (h, k) grid or on the (h, k) pairs the valuations pin, so they check

@@ -101,6 +101,7 @@ S1_TEXT = 'x^6(x+1)^4(x^3+x+1)(x^3+x^2+1)(x^4+x^3+1)'
     ('irreducibles_d4.txt', ['irreducibles', '--max-deg', '4']),
     ('odd_square_search_d100.json',
      ['--format', 'json', 'odd-square-search', '--max-deg', '100']),
+    ('search_d20.json', ['--format', 'json', 'search', '--max-deg', '20']),
 ])
 def test_output_matches_golden_file(capsys, name, argv):
     code, out, err = invoke(capsys, *argv)

@@ -3,14 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gf2perfect.factor import (
-    _berlekamp, _berlekamp_kernel, _irreducibles_up_to, factorize,
-    irreducibles_up_to, is_irreducible, smallest_factor_tables,
+    _berlekamp, _berlekamp_kernel, _irreducibles_up_to, expand, factorize,
+    irreducible_counts, irreducibles_up_to, is_irreducible, prefix_xor,
+    smallest_factor_tables,
 )
 from gf2perfect.gf2poly import (
-    X, X1, degree, derivative, gcd, mul, parse, pow_, rem, square,
+    X, X1, degree, derivative, divexact, gcd, mul, parse, pow_, rem, square,
 )
 from oracles import (
     factor_trial, factorize_ddf_edf, irreducibles_bruteforce,
@@ -160,6 +162,20 @@ def test_irreducibles_from_sieve_match_rabin(d):
     assert all(type(p) is int for p in polys)
 
 
+def test_irreducibles_from_sieve_count_per_degree():
+    # every sieve list is ascending, holds N(e) primes of each degree e,
+    # and begins with the Rabin-checked list of degree 14
+    low = irreducibles_up_to(14)
+    for d in range(13, 21):
+        polys = irreducibles_up_to(d)
+        assert all(p < q for p, q in zip(polys, polys[1:]))
+        by_degree = {}
+        for p in polys:
+            by_degree[degree(p)] = by_degree.get(degree(p), 0) + 1
+        assert by_degree == irreducible_counts(d)
+        assert polys[:len(low)] == low[:len(polys)]
+
+
 NUMPY_PROBE = '''
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -240,28 +256,57 @@ def test_factorize_matches_sympy():
         assert factorize(p) == tuple(sorted(theirs))
 
 
+def test_expand_is_the_wheel_index():
+    # expand maps c < 2^13 onto the odd, odd-weight a below 2^15, in
+    # ascending order, with a >> 2 == c; checked by Python's bit_count
+    c = np.arange(1 << 13, dtype=np.uint32)
+    a = expand(c)
+    assert a.dtype == 'uint32'
+    assert ((a >> 2) == c).all()
+    assert a.tolist() == [v for v in range(1, 1 << 15, 2)
+                          if v.bit_count() & 1]
+
+
+def test_prefix_xor_divides_by_x_plus_1():
+    # bit 0 is the weight parity, and for an even weight the rest is
+    # a / (x+1): checked against long division for every odd a of
+    # degree <= 14, as ints and as a uint32 array
+    odd = list(range(1, 1 << 15, 2))
+    as_array = prefix_xor(np.array(odd, dtype=np.uint32)).tolist()
+    for a, v in zip(odd, as_array):
+        assert prefix_xor(a) == v
+        assert v & 1 == a.bit_count() & 1
+        if v & 1 == 0:
+            assert v >> 1 == divexact(a, X1)
+
+
 def test_smallest_factor_tables_consistency():
-    spf, quot = smallest_factor_tables(12)
-    spf = spf.tolist()
-    quot = quot.tolist()
     irr = set(_irreducibles_up_to(12))
-    for a in range(3, 1 << 13, 2):
-        p, m = spf[a >> 1], quot[a >> 1]
-        assert p in irr or p == a
-        assert mul(p, m) == a
-        if p == a:
-            assert is_irreducible(a)
-        else:
-            # sigma_table tests p | b as spf[b >> 1] == p, which needs
-            # the least prime
-            assert p == factorize(a)[0][0]
+    for d in range(1, 13):
+        spf, quot = smallest_factor_tables(d)
+        a = expand(np.arange(len(spf), dtype=np.uint32)).tolist()
+        cof = expand(quot).tolist()
+        spf, quot = spf.tolist(), quot.tolist()
+        assert spf[0] == quot[0] == 0  # a = 1
+        for c in range(1, len(spf)):
+            p = spf[c]
+            assert p in irr
+            assert mul(p, cof[c]) == a[c]
+            # sigma_table tests p | b as spf[b] == p, which needs the
+            # least prime; a prime is its own, with cofactor index 0
+            assert p == factorize(a[c])[0][0]
+            assert (quot[c] == 0) == (p == a[c])
 
 
 def test_sieve_matches_marking_oracle():
-    # the production sieve keeps the odd entries only: entry i is a = 2i+1
+    # the production sieve keeps the a prime to x^2+x only: entry c is
+    # a = expand(c), and quot holds the compact index of the cofactor
     for d in range(1, 17):
-        tables = smallest_factor_tables(d)
-        for got, want in zip(tables, smallest_factor_tables_marking(d)):
-            assert got.dtype == want.dtype == 'uint32'
-            assert len(got) == 1 << d
-            assert (got == want[1::2]).all()
+        spf, quot = smallest_factor_tables(d)
+        want_spf, want_quot = smallest_factor_tables_marking(d)
+        for got in spf, quot:
+            assert got.dtype == 'uint32'
+            assert len(got) == 1 << (d - 1)
+        a = expand(np.arange(1 << (d - 1), dtype=np.uint32))
+        assert (spf == want_spf[a]).all()
+        assert (quot == want_quot[a] >> 2).all()

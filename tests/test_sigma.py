@@ -4,8 +4,8 @@ import tracemalloc
 import pytest
 
 import gf2perfect.sigma as sigma_module
-from gf2perfect.factor import irreducibles_up_to
-from gf2perfect.gf2poly import X, X1, degree, gcd, mul, parse, pow_
+from gf2perfect.factor import irreducibles_up_to, prefix_xor
+from gf2perfect.gf2poly import X, X1, degree, divexact, gcd, mul, parse, pow_
 from gf2perfect.sigma import (
     Parity, fixed_points, parity, sigma, sigma_prime_power, sigma_table,
 )
@@ -161,11 +161,27 @@ def test_sigma_table_multi_block_rounds(monkeypatch):
         assert sigma_table(d)[1:].tolist() == sigma_table_list(d)[1:]
 
 
+def test_pair_pass_cofactors():
+    # of the pair (4c+1, 4c+3) the even-weight one is (x+1) b with
+    # b = 2 prefix_xor(c) + 1, and x+1 divides b exactly where
+    # h = prefix_xor(prefix_xor(c)) is odd, with h = b / (x+1) there
+    for c in range(1 << 12):
+        b = 2 * prefix_xor(c) + 1
+        a = mul(X1, b)
+        assert a >> 2 == c and a & 1 and a.bit_count() % 2 == 0
+        h = prefix_xor(prefix_xor(c))
+        assert h & 1 == 1 - b.bit_count() % 2
+        if h & 1:
+            assert h == divexact(b, X1)
+
+
 def test_sigma_table_memory_is_tables_plus_fixed_buffers():
-    # the odd rounds hold the sieve's two odd-only tables (together as
-    # large as the result) and the odd half (half of it), and the sieve
-    # is freed before the result is allocated; round-sized temporaries,
-    # or a sieve alive beside the result, would push the peak past 2.25x
+    # the wheel rounds hold the sieve's two tables (together half the
+    # result) and the compact sigma values (a quarter of it), and the
+    # sieve is freed before the result is allocated, so the pair pass
+    # holds the result, those values and a few block-sized temporaries:
+    # 1.85x at degree 18.  Round-sized temporaries, or a sieve alive
+    # beside the result, would push the peak past 2x
     sigma_table(16)  # a first call makes one-off allocations; keep them out
     tracemalloc.start()
     try:
@@ -173,7 +189,7 @@ def test_sigma_table_memory_is_tables_plus_fixed_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * table.nbytes
+    assert peak <= 2.0 * table.nbytes
 
 
 def test_fixed_point_scans_across_blocks(monkeypatch):
